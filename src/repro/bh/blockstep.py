@@ -4,8 +4,7 @@ The global-dt loop evaluates every force every step; with individual
 timesteps (Valdarnini's parallel treecode, Dubinski's hierarchical
 scheme) each particle integrates on its own power-of-two subdivision of
 the macro step, so most substeps touch only a small *active bin-set* —
-and the tree work shrinks to match via :mod:`repro.bh.tree_repair` and
-the walk-cache invalidation in :class:`~..interaction_lists.TraversalEngine`.
+and the tree work shrinks to match via :mod:`repro.bh.tree_repair`.
 
 Scheme (standard block-KDK):
 
@@ -28,9 +27,8 @@ recovery relies on when it restores checkpointed bin state.
 
 ``tree_mode="rebuild"`` keeps the full per-substep rebuild as the
 oracle/baseline; ``"repair"`` must produce bitwise-identical
-trajectories (repaired trees are bitwise-equal to rebuilds, and walks
-are keyed by target positions).  ``max_rungs=1`` degenerates to plain
-global-dt KDK.
+trajectories (repaired trees are bitwise-equal to rebuilds).
+``max_rungs=1`` degenerates to plain global-dt KDK.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class BlockTimestepper:
                  alpha: float = 0.8, leaf_capacity: int = 16,
                  box: Box | None = None, max_depth: int | None = None,
                  tree_mode: str = "repair", dirty_threshold: float = 0.25,
-                 collapse_chains: bool = True, walk_method: str = "auto",
+                 collapse_chains: bool = True,
                  kernel_tier: str = "numpy",
                  kernel_threads: int | None = None):
         if dt <= 0:
@@ -104,8 +102,7 @@ class BlockTimestepper:
         limit = morton.MAX_BITS_2D if d == 2 else morton.MAX_BITS_3D
         self.bits = limit if max_depth is None else int(max_depth)
         self.mac = BarnesHutMAC(alpha=float(alpha))
-        self._engine_opts = dict(walk_method=walk_method,
-                                 kernel_tier=kernel_tier,
+        self._engine_opts = dict(kernel_tier=kernel_tier,
                                  kernel_threads=kernel_threads)
         self.stats: dict[str, int] = {
             "timestep.macro_steps": 0, "timestep.substeps": 0,
@@ -155,7 +152,6 @@ class BlockTimestepper:
                                    max_depth=self.bits,
                                    collapse_chains=self.collapse_chains,
                                    keys=new_keys)
-            self.engine = self._new_engine(self.tree)
             self.stats["repair.full_rebuilds"] += 1
             self.stats["repair.nodes_rebuilt"] += self.tree.nnodes
         else:
@@ -164,7 +160,6 @@ class BlockTimestepper:
                               collapse_chains=self.collapse_chains,
                               dirty_threshold=self.dirty_threshold)
             self.tree = res.tree
-            self.engine.apply_repair(res)
             if res.rebuilt:
                 self.stats["repair.full_rebuilds"] += 1
             else:
@@ -172,6 +167,7 @@ class BlockTimestepper:
             self.stats["repair.nodes_reused"] += res.nodes_reused
             self.stats["repair.nodes_rebuilt"] += res.nodes_rebuilt
             self.stats["repair.changed_keys"] += res.n_changed_keys
+        self.engine = self._new_engine(self.tree)
         self.keys = new_keys
 
     # ------------------------------------------------------------- step

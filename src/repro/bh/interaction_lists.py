@@ -1,4 +1,4 @@
-"""Interaction-list traversal engine: build once, evaluate many.
+"""Interaction-list traversal: walk the tree, then evaluate the lists.
 
 The classical Barnes-Hut hot loop interleaves two very different kinds
 of work: *deciding* which (node, target) pairs interact (the MAC walk)
@@ -18,12 +18,11 @@ them:
 
 Because the lists depend only on the tree geometry, the MAC, and the
 target positions — never on the evaluator or the evaluation mode — one
-walk serves potentials *and* forces, every multipole degree, and any
-number of re-evaluations.  :class:`TraversalEngine` adds a small cache
-keyed by target fingerprint so repeated evaluations against an unchanged
-tree (the function-shipping server answering many requests within a
-step, load-measurement reruns, degree sweeps over one tree) skip the
-walk entirely.
+walk can serve potentials *and* forces and every multipole degree.
+:class:`TraversalEngine` binds one tree's evaluation settings and runs
+both passes per call; it keeps no lists between calls, because the
+parallel engines never evaluate the same target batch twice (every
+request bin carries fresh coordinates).
 
 Exactness contract: the walk applies the MAC with the same
 floating-point operations as :class:`~repro.bh.mac.BarnesHutMAC.accept`,
@@ -126,19 +125,13 @@ class InteractionLists:
     mac_tests: int
     mac_per_target: np.ndarray     # (nt,) int64 MAC tests per target
     p2p_interactions: int
-    # every MAC decision the walk made, one row per tested (node,
-    # target) pair — the evidence walk-cache invalidation re-checks
-    # after a tree repair (see TraversalEngine.apply_repair)
-    tested_node: np.ndarray = None  # type: ignore[assignment]
-    tested_tgt: np.ndarray = None  # type: ignore[assignment]
-    tested_ok: np.ndarray = None  # type: ignore[assignment]
     # lazy caches (built on first evaluation, reused afterwards)
     _p2p_groups: list | None = None
     _cluster_per_target: np.ndarray | None = None
     _p2p_src_per_target: np.ndarray | None = None
-    # P2P kernel scratch, keyed by (slot, ns, chunk): buffers persist
-    # across evaluate calls on a cached walk instead of being
-    # reallocated per pass.  Bitwise-neutral — every buffer is fully
+    # P2P kernel scratch, keyed by (slot, ns, chunk): one set of
+    # buffers serves every chunk of a slot and persists across evaluate
+    # calls on the same lists.  Bitwise-neutral — every buffer is fully
     # overwritten before it is read within a chunk.
     _scratch: dict | None = None
 
@@ -231,9 +224,6 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
     leaf_nodes: list[int] = []
     leaf_idx: list[np.ndarray] = []
     remote: dict[int, list[np.ndarray]] = {}
-    tested_nodes: list[int] = []
-    tested_idx: list[np.ndarray] = []
-    tested_ok: list[np.ndarray] = []
     mac_per_target = np.zeros(nt, dtype=np.int64)
     mac_tests = 0
 
@@ -259,9 +249,6 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
                 & ~np.all(np.abs(t - center[node]) < half[node], axis=1)
         else:
             ok = mac.accept(tree, node, t)
-        tested_nodes.append(node)
-        tested_idx.append(idx)
-        tested_ok.append(np.asarray(ok, dtype=bool))
         far = idx[ok]
         if far.size:
             cl_nodes.append(node)
@@ -274,20 +261,13 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
 
     cl_sizes = np.array([a.size for a in cl_idx], dtype=np.int64)
     leaf_sizes = np.array([a.size for a in leaf_idx], dtype=np.int64)
-    tested_sizes = np.array([a.size for a in tested_idx], dtype=np.int64)
     cluster_node = (np.repeat(np.asarray(cl_nodes, dtype=np.int64), cl_sizes)
                     if cl_nodes else np.zeros(0, dtype=np.int64))
     p2p_leaf = (np.repeat(np.asarray(leaf_nodes, dtype=np.int64), leaf_sizes)
                 if leaf_nodes else np.zeros(0, dtype=np.int64))
-    tested_node = (np.repeat(np.asarray(tested_nodes, dtype=np.int64),
-                             tested_sizes)
-                   if tested_nodes else np.zeros(0, dtype=np.int64))
-    tested = (tested_node, _concat(tested_idx),
-              (np.concatenate(tested_ok) if tested_ok
-               else np.zeros(0, dtype=bool)))
     remote_pairs = {n: _concat(remote[n]) for n in remote}
     return (cluster_node, _concat(cl_idx), p2p_leaf, _concat(leaf_idx),
-            remote_pairs, mac_tests, mac_per_target, tested)
+            remote_pairs, mac_tests, mac_per_target)
 
 
 def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
@@ -319,9 +299,7 @@ def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
     lf_t: list[np.ndarray] = []
     rm_n: list[np.ndarray] = []
     rm_t: list[np.ndarray] = []
-    tested_n: list[np.ndarray] = []    # MAC-tested pairs, per wave
-    tested_t: list[np.ndarray] = []
-    tested_o: list[np.ndarray] = []
+    mac_per_target = np.zeros(nt, dtype=np.int64)
     mac_tests = 0
 
     while node.size:
@@ -341,8 +319,7 @@ def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
         if node.size == 0:
             break
         mac_tests += node.size
-        tested_n.append(node)
-        tested_t.append(tgt)
+        mac_per_target += np.bincount(tgt, minlength=nt)
         g = geom[node]
         t = targets[tgt]
         h = g[:, 2 * d]
@@ -351,7 +328,6 @@ def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         ok = (2.0 * h < alpha * dist) \
             & ~np.all(np.abs(t - g[:, d:2 * d]) < h[:, None], axis=1)
-        tested_o.append(ok)
         if ok.any():
             cl_n.append(node[ok])
             cl_t.append(tgt[ok])
@@ -361,11 +337,6 @@ def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
         tgt = np.repeat(tgt[near], valid.sum(axis=1))
         node = rows[valid]                    # per pair, octant order
 
-    if tested_t:
-        mac_per_target = np.bincount(np.concatenate(tested_t),
-                                     minlength=nt).astype(np.int64)
-    else:
-        mac_per_target = np.zeros(nt, dtype=np.int64)
     remote_pairs: dict[int, np.ndarray] = {}
     if rm_n:
         rn = np.concatenate(rm_n)
@@ -387,12 +358,8 @@ def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
 
     cluster_node, cluster_tgt = _grouped(cl_n, cl_t)
     p2p_leaf, p2p_tgt = _grouped(lf_n, lf_t)
-    tested = (_concat(tested_n).astype(np.int64),
-              _concat(tested_t).astype(np.int64),
-              (np.concatenate(tested_o) if tested_o
-               else np.zeros(0, dtype=bool)))
     return (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt,
-            remote_pairs, mac_tests, mac_per_target, tested)
+            remote_pairs, mac_tests, mac_per_target)
 
 
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
@@ -426,9 +393,6 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
         remote_targets={}, mac_tests=0,
         mac_per_target=np.zeros(nt, dtype=np.int64),
         p2p_interactions=0,
-        tested_node=np.zeros(0, dtype=np.int64),
-        tested_tgt=np.zeros(0, dtype=np.int64),
-        tested_ok=np.zeros(0, dtype=bool),
     )
     if nt == 0 or tree.nnodes == 0:
         return empty
@@ -459,11 +423,11 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     start = tree.ROOT if root is None else root
     if use_frontier:
         (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-         mac_tests, mac_per_target, tested) = _walk_frontier(
+         mac_tests, mac_per_target) = _walk_frontier(
             tree, targets, mac.alpha, cls, start)
     else:
         (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-         mac_tests, mac_per_target, tested) = _walk_dfs(
+         mac_tests, mac_per_target) = _walk_dfs(
             tree, targets, mac, cls, start, fast_mac)
 
     # Sorted keys and sorted contents: bin composition is independent of
@@ -483,50 +447,6 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
         mac_tests=mac_tests,
         mac_per_target=mac_per_target,
         p2p_interactions=int(counts[p2p_leaf].sum()),
-        tested_node=tested[0],
-        tested_tgt=tested[1],
-        tested_ok=tested[2],
-    )
-
-
-def subset_interaction_lists(lists: InteractionLists,
-                             idx: np.ndarray) -> InteractionLists:
-    """Restrict prebuilt lists to the targets at positions ``idx``.
-
-    Per-target walk decisions are independent, so filtering the pair
-    rows reproduces *exactly* the interaction sets and counters a fresh
-    walk over ``lists.targets[idx]`` would produce — only list entry
-    order (fp accumulation order) differs.  This is how block timesteps
-    evaluate a surviving cached walk for just the active bin-set.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    member = np.zeros(lists.nt, dtype=bool)
-    member[idx] = True
-    remap = np.full(lists.nt, -1, dtype=np.int64)
-    remap[idx] = np.arange(idx.size)
-
-    def keep(node, tgt):
-        m = member[tgt]
-        return node[m], remap[tgt[m]]
-
-    cn, ct = keep(lists.cluster_node, lists.cluster_tgt)
-    pl, pt = keep(lists.p2p_leaf, lists.p2p_tgt)
-    sizes = lists.p2p_sizes[member[lists.p2p_tgt]]
-    tn, tt = keep(lists.tested_node, lists.tested_tgt)
-    to = lists.tested_ok[member[lists.tested_tgt]]
-    remote: dict[int, np.ndarray] = {}
-    for node, tgts in lists.remote_targets.items():
-        kept = tgts[member[tgts]]
-        if kept.size:
-            remote[node] = remap[kept]
-    mpt = lists.mac_per_target[idx]
-    return InteractionLists(
-        targets=lists.targets[idx], nt=int(idx.size), d=lists.d,
-        cluster_node=cn, cluster_tgt=ct, p2p_leaf=pl, p2p_tgt=pt,
-        p2p_sizes=sizes, remote_targets=remote,
-        mac_tests=int(mpt.sum()), mac_per_target=mpt,
-        p2p_interactions=int(sizes.sum()),
-        tested_node=tn, tested_tgt=tt, tested_ok=to,
     )
 
 
@@ -633,8 +553,9 @@ def _cluster_pass_grouped(lists: InteractionLists, values: np.ndarray,
 def _p2p_scratch(lists: InteractionLists, slot: int, ns: int,
                  chunk: int) -> tuple:
     """Reusable P2P chunk buffers (diff tensor, squared distances,
-    per-pair weights, gathered masses), cached on the lists so repeated
-    evaluations over a cached walk allocate nothing."""
+    per-pair weights, gathered masses), cached on the lists so every
+    chunk of a slot — and any later evaluation of the same lists —
+    reuses one allocation."""
     if lists._scratch is None:
         lists._scratch = {}
     key = (slot, ns, chunk)
@@ -823,82 +744,37 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
 
 # ------------------------------------------------------------------ engine
 class TraversalEngine:
-    """Build-once/evaluate-many traversal over one tree.
-
-    Interaction lists are cached under a fingerprint of the target
-    positions; any evaluation against targets already walked (same
-    positions, any evaluator, any mode) reuses the lists and skips the
-    walk.  ``walks_built`` / ``walks_reused`` count the cache traffic.
-    """
+    """One tree's traversal settings: every :meth:`compute` walks the
+    tree for its target batch and evaluates the resulting lists.
+    ``walks_built`` counts the walks."""
 
     def __init__(self, tree: Tree, sources=None, mac=None,
-                 root: int | None = None, softening: float = 0.0,
-                 cache_size: int = 8,
+                 softening: float = 0.0,
                  working_set_bytes: int | None = None,
-                 walk_method: str = "auto",
                  kernel_tier: str = "numpy",
                  kernel_threads: int | None = None):
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         if kernel_threads is not None and int(kernel_threads) < 1:
             raise ValueError("kernel_threads must be >= 1 (or None for "
                              "the serial path)")
         self.tree = tree
         self.sources = sources
         self.mac = mac
-        self.root = root
         self.softening = softening
         self.working_set_bytes = working_set_bytes
-        self.walk_method = walk_method
         # resolved once: "auto" pins to the tier that will actually run
         self.kernel_tier = compiled.resolve_tier(kernel_tier)
         self.kernel_threads = kernel_threads
-        self._cache: dict[tuple, InteractionLists] = {}
-        self._cache_size = cache_size
         self.walks_built = 0
-        self.walks_reused = 0
-        self.walks_retained = 0
-        self.walks_invalidated = 0
-        self.walks_retested = 0
-
-    def _fingerprint(self, targets: np.ndarray) -> tuple:
-        t = np.ascontiguousarray(targets)
-        return (t.shape, hash(t.tobytes()))
-
-    def lists_for(self, target_positions: np.ndarray) -> InteractionLists:
-        """Fetch or build the interaction lists for a target batch."""
-        targets = np.atleast_2d(
-            np.asarray(target_positions, dtype=np.float64))
-        key = self._fingerprint(targets)
-        hit = self._cache.get(key)
-        if hit is not None and np.array_equal(hit.targets, targets):
-            self.walks_reused += 1
-            return hit
-        lists = build_interaction_lists(self.tree, targets, self.mac,
-                                        root=self.root,
-                                        method=self.walk_method)
-        self.walks_built += 1
-        if len(self._cache) >= self._cache_size:
-            # evict the oldest entry (dict preserves insertion order)
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = lists
-        return lists
 
     def compute(self, target_positions: np.ndarray, evaluator,
                 mode: str = "potential",
                 count_node_interactions: bool = False,
-                target_weights: np.ndarray | None = None,
-                target_subset: np.ndarray | None = None
+                target_weights: np.ndarray | None = None
                 ) -> TraversalResult:
-        """One evaluation: reuses a cached walk when possible.
-
-        ``target_subset`` (indices into the target batch) restricts the
-        evaluation to the active subset of an already-walked batch —
-        values come back aligned with the subset.  The full walk is
-        what gets cached; subset filtering is cheap masking."""
-        lists = self.lists_for(target_positions)
-        if target_subset is not None:
-            lists = subset_interaction_lists(lists, target_subset)
+        """One walk plus one evaluation over ``target_positions``."""
+        lists = build_interaction_lists(self.tree, target_positions,
+                                        self.mac)
+        self.walks_built += 1
         return evaluate_interaction_lists(
             self.tree, lists, self.sources, evaluator, mode=mode,
             softening=self.softening,
@@ -908,77 +784,3 @@ class TraversalEngine:
             kernel_tier=self.kernel_tier,
             kernel_threads=self.kernel_threads,
         )
-
-    def apply_repair(self, repair, sources=None) -> None:
-        """Carry the engine across a tree repair
-        (:func:`~repro.bh.tree_repair.repair_tree`): swap in the
-        repaired tree and decide, per cached walk, whether its recorded
-        accept/open decisions still hold.
-
-        A walk is **evicted** when any node it touched was deleted, any
-        node it *opened* has different child cells, or any p2p leaf's
-        slice length changed.  If surviving nodes are merely
-        value-dirty (monopole moved), the stored MAC decisions are
-        re-tested against the new tree and the walk survives only if
-        every decision is unchanged — then its node ids are remapped
-        and it keeps serving evaluations (new monopoles are gathered at
-        eval time, so values track the repaired tree automatically).
-        """
-        self.tree = repair.tree
-        if sources is not None:
-            self.sources = sources
-        if repair.rebuilt or repair.id_map is None:
-            self.walks_invalidated += len(self._cache)
-            self._cache.clear()
-            return
-        id_map = repair.id_map
-        cc = repair.children_changed
-        ctc = repair.count_changed
-        vd = repair.value_dirty
-        fast_mac = type(self.mac) is BarnesHutMAC
-        tree = repair.tree
-        kept: dict[tuple, InteractionLists] = {}
-        for key, lists in self._cache.items():
-            tn, tt, ok = lists.tested_node, lists.tested_tgt, lists.tested_ok
-            touched = np.concatenate([tn, lists.p2p_leaf,
-                                      lists.cluster_node,
-                                      np.fromiter(lists.remote_targets,
-                                                  dtype=np.int64,
-                                                  count=len(
-                                                      lists.remote_targets))])
-            if touched.size and (id_map[touched] < 0).any():
-                self.walks_invalidated += 1
-                continue
-            opened = tn[~ok]
-            if (opened.size and cc[opened].any()) \
-                    or (lists.p2p_leaf.size
-                        and (cc[lists.p2p_leaf].any()
-                             or ctc[lists.p2p_leaf].any())):
-                self.walks_invalidated += 1
-                continue
-            stale = np.flatnonzero(vd[tn]) if tn.size else tn
-            if stale.size:
-                if not fast_mac:
-                    self.walks_invalidated += 1
-                    continue
-                nid = id_map[tn[stale]]
-                t = lists.targets[tt[stale]]
-                h = tree.half[nid]
-                diff = t - tree.com[nid]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                renew = (2.0 * h < self.mac.alpha * dist) \
-                    & ~np.all(np.abs(t - tree.center[nid]) < h[:, None],
-                              axis=1)
-                self.walks_retested += 1
-                if not np.array_equal(renew, ok[stale]):
-                    self.walks_invalidated += 1
-                    continue
-            lists.cluster_node = id_map[lists.cluster_node]
-            lists.p2p_leaf = id_map[lists.p2p_leaf]
-            lists.tested_node = id_map[tn]
-            lists.remote_targets = {int(id_map[n]): v for n, v
-                                    in lists.remote_targets.items()}
-            lists._p2p_groups = None     # bound to old node ids/slices
-            kept[key] = lists
-            self.walks_retained += 1
-        self._cache = kept

@@ -376,34 +376,18 @@ class TreeMultipoles:
         if particles is not None:
             self._build(particles)
 
-    def refresh(self, particles: ParticleSet, nodes: np.ndarray) -> None:
-        """Recompute expansions for ``nodes`` only (tree repair: stale
-        nodes on dirty root-paths), assuming every untouched node holds
-        valid coefficients.  Bitwise equal to a full build restricted to
-        those rows, because every grouped reduction in :meth:`_build`
-        is per-row independent."""
-        self.coeffs[nodes] = 0.0
-        self._build(particles, nodes)
-
-    def _build(self, particles: ParticleSet,
-               nodes: np.ndarray | None = None) -> None:
+    def _build(self, particles: ParticleSet) -> None:
         """Level-batched upward pass: grouped P2M over all leaves of one
         slice length, grouped M2M shifts per (level, child-count) bucket.
         Bitwise equal to :meth:`_build_reference` — batched ``matmul``
         and row-major ``add.at`` reproduce the per-node reductions
-        exactly.  ``nodes`` restricts the pass (see :meth:`refresh`)."""
+        exactly."""
         tree = self.tree
         nterms = self.expansion.nterms
         pos, masses = particles.positions, particles.masses
-        restrict = None
-        if nodes is not None:
-            restrict = np.zeros(tree.nnodes, dtype=bool)
-            restrict[nodes] = True
         local = tree.remote_owner < 0
-        leaf_mask = (tree.children == NO_CHILD).all(axis=1) & local
-        if restrict is not None:
-            leaf_mask &= restrict
-        leaves = np.flatnonzero(leaf_mask)
+        leaves = np.flatnonzero((tree.children == NO_CHILD).all(axis=1)
+                                & local)
         lengths = (tree.end - tree.start)[leaves]
         for L in np.unique(lengths):
             if L == 0:
@@ -417,7 +401,7 @@ class TreeMultipoles:
             q = masses[gather].astype(np.complex128)
             # batched vector-matrix product == per-leaf ``charges @ R``
             self.coeffs[sel] = np.matmul(q[:, None, :], R)[:, 0, :]
-        for nodes, kids in tree._internal_child_groups(restrict):
+        for nodes, kids in tree._internal_child_groups():
             c = kids.shape[1]
             shifts = (tree.center[kids.reshape(-1)]
                       - np.repeat(tree.center[nodes], c, axis=0))

@@ -178,9 +178,8 @@ def compute_forces(particles: ParticleSet, alpha: float = 0.67,
                    engine=None) -> TraversalResult:
     """Serial Barnes-Hut forces on all particles (monopole, Section 5.1).
 
-    Pass a :class:`~repro.bh.interaction_lists.TraversalEngine` bound to
-    the same tree to reuse a previous walk over the same targets (e.g.
-    after :func:`compute_potentials` on the same particle set).
+    A :class:`~repro.bh.interaction_lists.TraversalEngine` passed as
+    ``engine`` supplies the tree, MAC and kernel settings.
     """
     if engine is not None:
         tree = engine.tree
@@ -205,7 +204,7 @@ def compute_potentials(particles: ParticleSet, alpha: float = 0.67,
     ``degree = 0`` uses monopoles; ``degree >= 1`` uses spherical-harmonic
     multipole expansions of that degree (Section 5.2).  A
     :class:`~repro.bh.interaction_lists.TraversalEngine` passed as
-    ``engine`` shares one walk across modes and degrees.
+    ``engine`` supplies the tree, MAC and kernel settings.
     """
     if engine is not None:
         tree = engine.tree

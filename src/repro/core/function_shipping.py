@@ -54,15 +54,13 @@ class ForceResult:
     records_served: int = 0
     ship: ShipStats = field(default_factory=ShipStats)
     walks_built: int = 0        # interaction-list walks performed
-    walks_reused: int = 0       # evaluations served from cached lists
 
 
 class FunctionShippingEngine:
     """Binds one rank's trees and particles for the force phase."""
 
     def __init__(self, comm: Comm, config: SchemeConfig, top: TopTree,
-                 subtrees: list[LocalSubtree], particles: ParticleSet,
-                 subtree_engines: dict[int, TraversalEngine] | None = None):
+                 subtrees: list[LocalSubtree], particles: ParticleSet):
         self.comm = comm
         self.config = config
         self.top = top
@@ -71,10 +69,6 @@ class FunctionShippingEngine:
         self.subtree_by_key = {st.key: st for st in subtrees}
         self._mode = config.mode
         self._degree = config.degree
-        # Build-once/evaluate-many: one engine per tree this rank walks.
-        # A target batch seen twice against the same tree (e.g. the same
-        # bin of coordinates requesting both phases, or a re-run over an
-        # unchanged tree) reuses the cached interaction lists.
         ws = config.working_set_bytes
         # One resolution per engine: "auto" pins to the tier that runs
         # (the ParallelBarnesHut constructor already warned if a numba
@@ -86,29 +80,18 @@ class FunctionShippingEngine:
             working_set_bytes=ws, kernel_tier=self.kernel_tier,
             kernel_threads=kt,
         )
-        # ``subtree_engines`` adopts persistent per-subtree engines whose
-        # walk caches survive across engine instances (the block-timestep
-        # loop repairs trees between substeps and carries the engines
-        # through :meth:`TraversalEngine.apply_repair`).
-        if subtree_engines is not None:
-            self._subtree_engines = subtree_engines
-        else:
-            self._subtree_engines = {
-                st.key: TraversalEngine(
-                    st.tree, st.particles, self.mac,
-                    softening=config.softening, working_set_bytes=ws,
-                    kernel_tier=self.kernel_tier, kernel_threads=kt,
-                )
-                for st in subtrees
-            }
+        self._subtree_engines = {
+            st.key: TraversalEngine(
+                st.tree, st.particles, self.mac,
+                softening=config.softening, working_set_bytes=ws,
+                kernel_tier=self.kernel_tier, kernel_threads=kt,
+            )
+            for st in subtrees
+        }
 
-    def _walk_counts(self) -> tuple[int, int]:
-        built = self._top_engine.walks_built
-        reused = self._top_engine.walks_reused
-        for eng in self._subtree_engines.values():
-            built += eng.walks_built
-            reused += eng.walks_reused
-        return built, reused
+    def _walks_built(self) -> int:
+        return self._top_engine.walks_built + sum(
+            eng.walks_built for eng in self._subtree_engines.values())
 
     # ----------------------------------------------------------- evaluators
     def _local_evaluator(self, st: LocalSubtree):
@@ -171,7 +154,7 @@ class FunctionShippingEngine:
         nt = tidx.size
         values = np.zeros(n) if self._mode == "potential" else np.zeros((n, d))
         self._result = ForceResult(values=values)
-        built0, reused0 = self._walk_counts()
+        built0 = self._walks_built()
 
         def accumulate(slots: np.ndarray, vals: np.ndarray) -> None:
             # One result bin may carry several records for the same local
@@ -241,12 +224,8 @@ class FunctionShippingEngine:
         self._result.records_shipped = bins.records_sent
         self._result.records_served = bins.records_served
         self._result.ship = bins.stats
-        built, reused = self._walk_counts()
-        built -= built0
-        reused -= reused0
+        built = self._walks_built() - built0
         self._result.walks_built = built
-        self._result.walks_reused = reused
         comm.metrics.counter("force.walks_built").inc(built)
-        comm.metrics.counter("force.walks_reused").inc(reused)
         comm.metrics.counter(f"force.kernel_tier.{self.kernel_tier}").inc()
         return self._result

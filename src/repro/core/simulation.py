@@ -38,8 +38,6 @@ import numpy as np
 from repro.bh import compiled as _compiled
 from repro.bh import morton as _morton
 from repro.bh.blockstep import assign_rungs
-from repro.bh.interaction_lists import TraversalEngine
-from repro.bh.mac import BarnesHutMAC
 from repro.bh.morton import morton_keys
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import build_tree
@@ -160,14 +158,12 @@ class SimulationResult:
         )
 
     def walk_reuse(self) -> tuple[int, int]:
-        """Interaction-list traffic: total (walks_built, walks_reused)
-        across all steps and ranks.  Reused walks are evaluations served
-        from cached interaction lists without re-walking the tree."""
+        """Interaction-list traffic: ``(walks_built, walks_reused)``
+        across all steps and ranks.  Every evaluation walks the tree
+        afresh, so reuse is always 0."""
         built = sum(sr.force.walks_built
                     for step in self.steps for sr in step)
-        reused = sum(sr.force.walks_reused
-                     for step in self.steps for sr in step)
-        return built, reused
+        return built, 0
 
     def load_imbalance(self) -> float:
         return self.run.load_imbalance("force computation")
@@ -277,15 +273,11 @@ class _Forest:
     """One rank's forest of owned-cell subtrees plus the force engine,
     carried across the substeps of a block-timestep macro step.
 
-    ``engines`` is the *persistent* per-subtree-key dict of
-    :class:`TraversalEngine` objects: forest refreshes hand it to each
-    fresh :class:`FunctionShippingEngine` so walk caches survive tree
-    repairs.  ``keys`` snapshots the rank's depth-``bits`` Morton keys
-    the trees were built from (the ``old_keys`` of the next repair).
+    ``keys`` snapshots the rank's depth-``bits`` Morton keys the trees
+    were built from (the ``old_keys`` of the next repair).
     """
 
     subtrees: list[LocalSubtree]
-    engines: dict[int, TraversalEngine]
     fs: FunctionShippingEngine
     keys: np.ndarray
 
@@ -582,16 +574,6 @@ class _RankState:
         return LocalSubtree(cell=cell, key=branch_key(cell, self.dims),
                             particles=sub, local_idx=idx, tree=tree)
 
-    def _new_sub_engine(self, st: LocalSubtree) -> TraversalEngine:
-        cfg = self.config
-        return TraversalEngine(
-            st.tree, st.particles, BarnesHutMAC(cfg.alpha),
-            softening=cfg.softening,
-            working_set_bytes=cfg.working_set_bytes,
-            kernel_tier=_compiled.resolve_tier(cfg.kernel_tier),
-            kernel_threads=cfg.kernel_threads,
-        )
-
     def _merge_top(self, branches):
         cfg = self.config
         if cfg.merge == "broadcast":
@@ -616,8 +598,7 @@ class _RankState:
         top = self._merge_top(branches)
         fs = FunctionShippingEngine(comm, cfg, top, subtrees,
                                     self.particles)
-        return _Forest(subtrees=subtrees, engines=fs._subtree_engines,
-                       fs=fs, keys=keys.copy())
+        return _Forest(subtrees=subtrees, fs=fs, keys=keys.copy())
 
     def _refresh_forest(self, forest: _Forest, cells: list[Cell],
                         starters: np.ndarray) -> _Forest:
@@ -630,7 +611,6 @@ class _RankState:
         comm, cfg = self.comm, self.config
         n = self.particles.n
         keys = self._rank_keys()
-        engines = forest.engines
         metrics = comm.metrics
         with comm.clock.phase(PHASE_REPAIR):
             old_map = {st.key: st for st in forest.subtrees}
@@ -639,7 +619,6 @@ class _RankState:
             starter_mask = np.zeros(n, dtype=bool)
             starter_mask[starters] = True
             subtrees: list[LocalSubtree] = []
-            live_keys: set[int] = set()
             touched = 0
             depth = 1
             for i, cell in enumerate(cells):
@@ -647,7 +626,6 @@ class _RankState:
                 if idx.size == 0:
                     continue
                 bkey = branch_key(cell, self.dims)
-                live_keys.add(bkey)
                 old = old_map.get(bkey)
                 same_members = (old is not None
                                 and old.local_idx.size == idx.size
@@ -657,8 +635,8 @@ class _RankState:
                     movers = np.flatnonzero(starter_mask[idx])
                     if movers.size == 0:
                         # Untouched: positions of every member are
-                        # frozen this substep — tree, monopoles and
-                        # cached walks all stay valid.
+                        # frozen this substep — tree and monopoles stay
+                        # valid.
                         subtrees.append(old)
                         metrics.counter("repair.nodes_reused").inc(
                             old.tree.nnodes)
@@ -673,21 +651,6 @@ class _RankState:
                                           particles=sub, local_idx=idx,
                                           tree=res.tree)
                         subtrees.append(st)
-                        eng = engines.get(bkey)
-                        if eng is not None:
-                            w0 = (eng.walks_retained,
-                                  eng.walks_invalidated,
-                                  eng.walks_retested)
-                            eng.apply_repair(res, sources=sub)
-                            metrics.counter("repair.walks_retained").inc(
-                                eng.walks_retained - w0[0])
-                            metrics.counter(
-                                "repair.walks_invalidated").inc(
-                                eng.walks_invalidated - w0[1])
-                            metrics.counter("repair.walks_retested").inc(
-                                eng.walks_retested - w0[2])
-                        else:
-                            engines[bkey] = self._new_sub_engine(st)
                         if res.rebuilt:
                             metrics.counter("repair.full_rebuilds").inc()
                         else:
@@ -705,23 +668,17 @@ class _RankState:
                 # rebuild this subtree from scratch.
                 st = self._make_subtree(cell, idx, keys)
                 subtrees.append(st)
-                engines[bkey] = self._new_sub_engine(st)
                 metrics.counter("repair.full_rebuilds").inc()
                 metrics.counter("repair.nodes_rebuilt").inc(st.tree.nnodes)
                 touched += int(idx.size)
                 depth = max(depth, st.tree.node_depth_max())
-            # Cells that emptied out: drop their stale engines.
-            for k in [k for k in engines if k not in live_keys]:
-                del engines[k]
             comm.compute(tree_build_flops(touched, depth))
             branches = local_branch_infos(subtrees, comm.rank, self.root,
                                           cfg.degree)
         top = self._merge_top(branches)
         fs = FunctionShippingEngine(comm, cfg, top, subtrees,
-                                    self.particles,
-                                    subtree_engines=engines)
-        return _Forest(subtrees=subtrees, engines=engines, fs=fs,
-                       keys=keys.copy())
+                                    self.particles)
+        return _Forest(subtrees=subtrees, fs=fs, keys=keys.copy())
 
     @staticmethod
     def _merge_force(agg: ForceResult, res: ForceResult) -> None:
@@ -731,7 +688,6 @@ class _RankState:
         agg.records_shipped += res.records_shipped
         agg.records_served += res.records_served
         agg.walks_built += res.walks_built
-        agg.walks_reused += res.walks_reused
         s, t = agg.ship, res.ship
         s.request_bins_sent += t.request_bins_sent
         s.request_records_sent += t.request_records_sent
@@ -1005,10 +961,6 @@ def _rank_main(comm: Comm, config: SchemeConfig, root: Box, bits: int,
         state = _RankState(comm, config, root, bits, shard)
         results = []
         start = 0
-        if store is not None:
-            # Step-0 snapshot: a crash in the very first step can still
-            # roll back to the initial deal.
-            save_checkpoint(0)
     for i in range(start, steps):
         # Liveness/fault hook: stamps the supervision board with this
         # rank's step (and executes planned kill/stall actions) on the
@@ -1067,8 +1019,9 @@ class ParallelBarnesHut:
     checkpoint_every:
         Snapshot every rank's cross-step state at this step cadence; on
         a rank crash or worker loss the run rolls back to the newest
-        common checkpoint and re-executes (without it such failures are
-        fatal).  On the virtual backend snapshots live in host memory;
+        common checkpoint — or to the initial deal when no step is
+        checkpointed on every rank yet — and re-executes (without it
+        such failures are fatal).  On the virtual backend snapshots live in host memory;
         on the process backend they are durable on disk
         (:class:`~repro.core.checkpoint.DiskCheckpointStore`) — under
         ``checkpoint_dir`` when given, else a temporary directory
@@ -1227,7 +1180,8 @@ class ParallelBarnesHut:
 
     def _recovery_args(self, store: CheckpointStore
                        ) -> tuple[int, list[tuple]] | None:
-        """Restart state from the newest intact common checkpoint.
+        """Restart state from the newest intact common checkpoint, or
+        None when no step is checkpointed on every rank.
 
         A corrupt level (torn by the crash that triggered recovery, or
         bit-rotted on disk) is discarded and the previous common
@@ -1359,7 +1313,12 @@ class ParallelBarnesHut:
                     t_rec = time.monotonic()
                     recovered = self._recovery_args(store)
                     if recovered is None:
-                        raise
+                        # No step is checkpointed on every rank yet: the
+                        # host's initial deal is the implicit step-0
+                        # restart point, so whether a run recovers never
+                        # depends on how far each rank had got.
+                        recovered = 0, [(shard, None)
+                                        for shard in self._shards()]
                     if isinstance(failure, RankCrashedError):
                         # Replace the failed node; its planned crash is
                         # spent and must not fire in the re-execution.

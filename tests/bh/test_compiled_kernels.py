@@ -144,27 +144,36 @@ class TestThreadedNumpy:
 
 class TestScratchReuse:
     def test_p2p_scratch_reused_across_evaluations(self):
-        """Warm evaluations on a cached walk must reuse the P2P scratch
-        buffers instead of reallocating them each call."""
-        eng = _engine(threads=2)
-        first = eng.compute(PS.positions, _evaluator(), mode="force")
-        lists = eng.lists_for(PS.positions)
+        """Repeated evaluations of one set of lists must reuse the P2P
+        scratch buffers instead of reallocating them each call."""
+        lists = build_interaction_lists(TREE, PS.positions, MAC)
+
+        def run():
+            return evaluate_interaction_lists(
+                TREE, lists, PS, _evaluator(), mode="force",
+                softening=SOFTENING, kernel_threads=2)
+
+        first = run()
         assert lists._scratch, "threaded P2P pass should build scratch"
         ids = {k: tuple(id(b) for b in bufs)
                for k, bufs in lists._scratch.items()}
-        second = eng.compute(PS.positions, _evaluator(), mode="force")
+        second = run()
         assert {k: tuple(id(b) for b in bufs)
                 for k, bufs in lists._scratch.items()} == ids
         assert np.array_equal(first.values, second.values)
-        assert eng.walks_built == 1 and eng.walks_reused >= 2
 
     def test_serial_path_also_reuses_scratch(self):
-        eng = _engine(threads=None)
-        eng.compute(PS.positions, _evaluator(), mode="potential")
-        lists = eng.lists_for(PS.positions)
+        lists = build_interaction_lists(TREE, PS.positions, MAC)
+
+        def run():
+            evaluate_interaction_lists(TREE, lists, PS, _evaluator(),
+                                       mode="potential",
+                                       softening=SOFTENING)
+
+        run()
         ids = {k: tuple(id(b) for b in bufs)
                for k, bufs in (lists._scratch or {}).items()}
-        eng.compute(PS.positions, _evaluator(), mode="potential")
+        run()
         assert {k: tuple(id(b) for b in bufs)
                 for k, bufs in lists._scratch.items()} == ids
 

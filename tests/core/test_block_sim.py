@@ -151,7 +151,6 @@ class TestDeterminism:
 
         assert counter("repair.repairs") > 0
         assert counter("repair.nodes_reused") > 0
-        assert counter("repair.walks_retained") > 0
         # several rungs occupied: the active-subset machinery was real
         occupied = sum(counter(f"timestep.bin_{r}") > 0 for r in range(5))
         assert occupied >= 2

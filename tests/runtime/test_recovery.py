@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import ParallelBarnesHut, SchemeConfig, plummer
+from repro.core.checkpoint import CheckpointError
 from repro.machine.faults import FaultPlan, RankCrashedError
 from repro.machine.profiles import NCUBE2
 from repro.runtime.process_engine import WorkerLostError
@@ -117,6 +118,30 @@ def test_virtual_crash_recovers_on_process_backend(tmp_path):
                 plan=FaultPlan(seed=7, crash={1: 1e-9}))
     assert hurt.recoveries >= 1
     assert_bitwise_equal(baseline, hurt)
+
+
+@pytest.mark.parametrize("backend", ["virtual", "process"])
+def test_crash_before_first_checkpoint_restarts_from_initial_deal(
+        backend, tmp_path):
+    """A crash at virtual t=1e-9 fires before any rank can finish step 0
+    (step 0 opens with collectives that need the crashed rank), so no
+    checkpoint exists on any rank.  The run must restart from the
+    host's initial deal and finish bitwise equal to a clean run."""
+    baseline = _run("spda", backend=backend)
+    ckpt_dir = tmp_path / "early" if backend == "process" else None
+    hurt = _run("spda", ckpt_dir=ckpt_dir, backend=backend,
+                plan=FaultPlan(seed=7, crash={1: 1e-9}))
+    assert hurt.recoveries == 1
+    assert_bitwise_equal(baseline, hurt)
+    snap = hurt.metrics_summary().snapshot()
+    assert snap["recovery.rollback_steps"]["value"] == 0
+
+
+def test_resume_without_common_checkpoint_is_refused(tmp_path):
+    """--resume needs a step checkpointed on every rank; the implicit
+    step-0 restart point is for recovery inside one run only."""
+    with pytest.raises(CheckpointError, match="no common checkpoint"):
+        _run("spda", ckpt_dir=tmp_path / "empty", resume=True)
 
 
 def test_restart_budget_bounds_recovery(tmp_path):
