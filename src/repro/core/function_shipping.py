@@ -116,25 +116,34 @@ class FunctionShippingEngine:
             )
         return self.subtree_by_key[int(key)]
 
+    def _eval_subtree(self, key: int, coords: np.ndarray) -> np.ndarray:
+        """Evaluate the whole local subtree ``key`` for ``coords``,
+        charging its probes and flops and counting its interactions."""
+        st = self._lookup_subtree(key)
+        res = self._subtree_engines[key].compute(
+            coords, self._local_evaluator(st), mode=self._mode,
+            count_node_interactions=True,
+        )
+        if res.remote_targets:
+            raise RuntimeError("local subtree contains remote leaves")
+        self._charge(res)
+        self._result.mac_tests += res.mac_tests
+        self._result.cluster_interactions += res.cluster_interactions
+        self._result.p2p_interactions += res.p2p_interactions
+        return res.values
+
     def _serve(self, bin_: RequestBin) -> np.ndarray:
         """Owner-side service: evaluate whole subtrees for a request bin."""
+        keys = bin_.keys
+        if bin_.n and (keys == keys[0]).all():
+            # Most bins carry a single branch key: no split, no scatter.
+            return self._eval_subtree(int(keys[0]), bin_.coords)
         d = self.particles.dims if self.particles.n else bin_.coords.shape[1]
         values = (np.zeros(bin_.n) if self._mode == "potential"
                   else np.zeros((bin_.n, d)))
-        for key in np.unique(bin_.keys):
-            st = self._lookup_subtree(int(key))
-            sel = np.flatnonzero(bin_.keys == key)
-            res = self._subtree_engines[int(key)].compute(
-                bin_.coords[sel], self._local_evaluator(st),
-                mode=self._mode, count_node_interactions=True,
-            )
-            if res.remote_targets:
-                raise RuntimeError("local subtree contains remote leaves")
-            values[sel] = res.values
-            self._charge(res)
-            self._result.mac_tests += res.mac_tests
-            self._result.cluster_interactions += res.cluster_interactions
-            self._result.p2p_interactions += res.p2p_interactions
+        for key in np.unique(keys):
+            sel = np.flatnonzero(keys == key)
+            values[sel] = self._eval_subtree(int(key), bin_.coords[sel])
         return values
 
     # ------------------------------------------------------------- main run
@@ -201,18 +210,8 @@ class FunctionShippingEngine:
                     key = int(self.top.tree.remote_key[node])
                     idx = tidx[sub]
                     if owner == comm.rank:
-                        st = self._lookup_subtree(key)
-                        res = self._subtree_engines[key].compute(
-                            self.particles.positions[idx],
-                            self._local_evaluator(st), mode=self._mode,
-                            count_node_interactions=True,
-                        )
-                        values[idx] += res.values
-                        self._charge(res)
-                        self._result.mac_tests += res.mac_tests
-                        self._result.cluster_interactions += \
-                            res.cluster_interactions
-                        self._result.p2p_interactions += res.p2p_interactions
+                        values[idx] += self._eval_subtree(
+                            key, self.particles.positions[idx])
                     else:
                         bins.add_requests(
                             owner, idx,

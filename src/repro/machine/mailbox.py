@@ -4,10 +4,16 @@ One :class:`Mailbox` per rank.  A message carries its payload, its wire
 size in bytes and its *virtual arrival time* (computed by the sender from
 its own clock and the cost model), so receivers can charge their clocks
 deterministically regardless of real thread scheduling.
+
+Queued messages are keyed by ``(src, tag)``, one heap per key, because
+function shipping leaves hundreds of request and result bins queued at
+once: a receive reads the heads of the few matching keys instead of
+scanning every queued message.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -78,11 +84,26 @@ class Message:
 
 
 class Mailbox:
-    """Blocking, (src, tag)-matched FIFO message store for one rank."""
+    """Blocking, (src, tag)-matched message store for one rank.
+
+    Queued messages sit in one heap per ``(src, tag)`` key, as
+    ``(arrival, src, seq, deposit_no, msg)`` entries.  A receive takes
+    the smallest matching :class:`Message` by its ``(arrival, src, seq)``
+    order; between equal messages it takes the one deposited first
+    (``deposit_no`` counts every :meth:`put` and :meth:`requeue`, and
+    makes every entry unique, so ``msg`` itself is never compared).  A
+    fully specified receive reads one heap head: O(1) to look,
+    O(log k) to remove from a key holding k messages.  A wildcard
+    receive compares the heads of the matching keys, at most one per
+    (source, tag) pair in use, so its cost does not grow with the queue.
+    """
 
     def __init__(self, rank: int):
         self.rank = rank
-        self._messages: list[Message] = []
+        #: ``(src, tag) -> heap`` of queued entries; empty keys are dropped.
+        self._heaps: dict[tuple[int, int], list[tuple]] = {}
+        self._count = 0
+        self._deposits = 0
         self._cond = threading.Condition()
         self._closed = False
         self._seen_xmits: set[tuple[int, int]] = set()
@@ -101,20 +122,14 @@ class Mailbox:
         discard); the sender already paid its channel charge.
         """
         with self._cond:
-            if self._closed:
-                raise MailboxClosedError(
-                    f"mailbox of rank {self.rank} is closed (engine shut down)"
-                )
+            self._check_open()
             if msg.xmit_id is not None:
                 key = (msg.src, msg.xmit_id)
                 if key in self._seen_xmits:
                     self.duplicates_suppressed += 1
                     return
                 self._seen_xmits.add(key)
-            self._messages.append(msg)
-            if len(self._messages) > self.max_pending:
-                self.max_pending = len(self._messages)
-            self._cond.notify_all()
+            self._deposit(msg)
 
     def requeue(self, msg: Message) -> None:
         """Re-deposit a message previously removed by :meth:`poll`.
@@ -124,25 +139,44 @@ class Mailbox:
         destroyed by its own ``xmit_id``.
         """
         with self._cond:
-            if self._closed:
-                raise MailboxClosedError(
-                    f"mailbox of rank {self.rank} is closed (engine shut down)"
-                )
-            self._messages.append(msg)
-            if len(self._messages) > self.max_pending:
-                self.max_pending = len(self._messages)
-            self._cond.notify_all()
+            self._check_open()
+            self._deposit(msg)
 
-    def _match_index(self, src: int, tag: int) -> int | None:
-        best: int | None = None
-        for i, m in enumerate(self._messages):
-            if src != ANY_SOURCE and m.src != src:
-                continue
-            if tag != ANY_TAG and m.tag != tag:
-                continue
-            if best is None or m < self._messages[best]:
-                best = i
-        return best
+    def _check_open(self) -> None:
+        if self._closed:
+            raise MailboxClosedError(
+                f"mailbox of rank {self.rank} is closed (engine shut down)"
+            )
+
+    def _deposit(self, msg: Message) -> None:
+        heap = self._heaps.setdefault((msg.src, msg.tag), [])
+        heapq.heappush(heap, (msg.arrival, msg.src, msg.seq,
+                              self._deposits, msg))
+        self._deposits += 1
+        self._count += 1
+        if self._count > self.max_pending:
+            self.max_pending = self._count
+        self._cond.notify_all()
+
+    def _match_key(self, src: int, tag: int) -> tuple[int, int] | None:
+        """The key whose heap head is the message to receive, if any."""
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            return (src, tag) if (src, tag) in self._heaps else None
+        best_key, best = None, None
+        for key, heap in self._heaps.items():
+            if ((src == ANY_SOURCE or key[0] == src)
+                    and (tag == ANY_TAG or key[1] == tag)
+                    and (best is None or heap[0] < best)):
+                best_key, best = key, heap[0]
+        return best_key
+
+    def _pop(self, key: tuple[int, int]) -> Message:
+        heap = self._heaps[key]
+        msg = heapq.heappop(heap)[-1]
+        if not heap:
+            del self._heaps[key]
+        self._count -= 1
+        return msg
 
     def get(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
             timeout: float | None = None) -> Message:
@@ -156,9 +190,9 @@ class Mailbox:
         """
         with self._cond:
             while True:
-                i = self._match_index(src, tag)
-                if i is not None:
-                    return self._messages.pop(i)
+                key = self._match_key(src, tag)
+                if key is not None:
+                    return self._pop(key)
                 if self._closed:
                     raise MailboxClosedError(
                         f"rank {self.rank}: receive on closed mailbox"
@@ -172,26 +206,22 @@ class Mailbox:
     def poll(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Non-blocking matched receive; ``None`` when nothing matches."""
         with self._cond:
-            i = self._match_index(src, tag)
-            return self._messages.pop(i) if i is not None else None
+            key = self._match_key(src, tag)
+            return self._pop(key) if key is not None else None
 
     def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is queued (does not remove it)."""
         with self._cond:
-            return self._match_index(src, tag) is not None
+            return self._match_key(src, tag) is not None
 
     def pending_count(self) -> int:
         with self._cond:
-            return len(self._messages)
+            return self._count
 
     def pending_summary(self) -> dict[tuple[int, int], int]:
         """``(src, tag) -> count`` of queued messages (deadlock reports)."""
         with self._cond:
-            out: dict[tuple[int, int], int] = {}
-            for m in self._messages:
-                key = (m.src, m.tag)
-                out[key] = out.get(key, 0) + 1
-            return out
+            return {key: len(heap) for key, heap in self._heaps.items()}
 
     def close(self) -> None:
         """Wake all blocked receivers with an error (engine teardown)."""

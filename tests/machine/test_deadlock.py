@@ -40,6 +40,26 @@ class TestDeadlockError:
             Engine(2, ZERO_COST, recv_timeout=0.3).run(main)
         assert "tag=99" in str(ei.value)
 
+    def test_report_names_every_pending_key_with_its_count(self):
+        """Messages queued under several (src, tag) keys are all listed,
+        each with its count, whatever order the keys were first used."""
+        sends = {0: [13, 11, 13, 12, 11, 13], 1: [21, 22, 21]}
+
+        def main(comm):
+            for tag in sends[comm.rank]:
+                comm.send(tag, dst=1 - comm.rank, tag=tag)
+            comm.recv(src=1 - comm.rank, tag=5)
+
+        with pytest.raises(DeadlockError) as ei:
+            Engine(2, ZERO_COST, recv_timeout=0.3).run(main)
+        err = ei.value
+        expect = {1: {(0, 11): 2, (0, 12): 1, (0, 13): 3},
+                  0: {(1, 21): 2, (1, 22): 1}}
+        assert err.summaries == expect
+        for held in expect.values():
+            for (src, tag), n in held.items():
+                assert f"(src={src}, tag={tag}) x{n}" in str(err)
+
     def test_blocked_attribute_is_structured(self):
         def main(comm):
             comm.recv(src=(comm.rank + 1) % 2, tag=7)
