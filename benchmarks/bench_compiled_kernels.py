@@ -4,13 +4,15 @@ Times the warm evaluation pass — ``evaluate_interaction_lists``
 repeated over lists built once with ``build_interaction_lists`` — under
 each kernel tier:
 
-* ``numpy`` — the serial chunked numpy loop (the reference tier).
-* ``numpy-threaded`` — the slot-deterministic threaded numpy loop.
+* ``numpy`` — the slot-deterministic chunked numpy evaluator on one
+  thread (``kernel_threads=None``; the reference tier).
+* ``numpy-threaded`` — the same evaluator with its slots on a thread
+  pool.
 * ``numba`` — the fused compiled kernels (skipped, honestly, when the
   ``[perf]`` extra is not installed).
 
 The bench *validates before it reports*: every tier's values must match
-the serial numpy reference to 1e-12 (relative to the largest value) in
+the one-thread numpy reference to 1e-12 (relative to the largest value) in
 both modes, the interaction counters must be exactly equal, and the
 slotted tiers must be bitwise invariant to the thread count (1, 2 and 8
 threads) — else it exits nonzero without writing a result.

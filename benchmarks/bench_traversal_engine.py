@@ -4,7 +4,7 @@ Times serial ``compute_forces`` (Plummer, monopole, the Section 5.1
 setting) three ways on the same tree:
 
 * ``reference`` — the classical single-pass walk
-  (:func:`repro.bh.traversal.traverse_reference`), kernels evaluated in
+  (:func:`tests.oracles.traverse_reference`), kernels evaluated in
   walk order.  This is the seed implementation, kept verbatim.
 * ``engine_cold`` — list-building walk + fused evaluation, lists built
   fresh (the first evaluation of a time-step).
@@ -17,7 +17,8 @@ before it reports*: engine values must match the reference to 1e-12 and
 the interaction counters (mac_tests, cluster_interactions,
 p2p_interactions) must be exactly equal, else it exits nonzero.
 
-Emits ``BENCH_traversal_engine.json`` with one entry per n.
+Emits ``BENCH_traversal_engine.json`` with one entry per n.  Needs the
+repository root on ``PYTHONPATH`` next to ``src`` (for ``tests.oracles``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.bh.interaction_lists import (TraversalEngine,
                                         evaluate_interaction_lists)
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion
-from repro.bh.traversal import traverse_reference
 from repro.bh.tree import build_tree
+from tests.oracles import traverse_reference
 
 from bench_util import bench_case, emit_bench_json
 

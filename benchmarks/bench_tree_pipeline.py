@@ -7,7 +7,7 @@ Two sections, both *validating before they report*:
   multipole (P2M/M2M) pass, and the MAC walk — vectorized
   (:func:`repro.bh.tree.build_tree`, the level-batched upward passes,
   the frontier walk) against the node-at-a-time references
-  (:func:`repro.bh.tree.build_tree_reference` and friends, kept verbatim
+  (:func:`tests.oracles.build_tree_reference` and friends, kept verbatim
   from the seed).  Every `Tree` array, monopole, interaction sum, and
   multipole coefficient must be *exactly* equal before a speedup is
   printed; the headline number is the combined build+monopole+multipole
@@ -20,7 +20,8 @@ Two sections, both *validating before they report*:
   forces (to 1e-9, fp accumulation order) must agree.
 
 Emits ``BENCH_tree_pipeline.json``.  ``--smoke`` shrinks everything for
-CI.
+CI.  Needs the repository root on ``PYTHONPATH`` next to ``src`` (for
+``tests.oracles``).
 """
 
 from __future__ import annotations
@@ -39,9 +40,15 @@ from repro.bh.distributions import plummer
 from repro.bh.interaction_lists import build_interaction_lists
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import TreeMultipoles
-from repro.bh.tree import Tree, build_tree, build_tree_reference
+from repro.bh.tree import Tree, build_tree
 from repro.core.config import SchemeConfig
 from repro.core.simulation import ParallelBarnesHut
+from tests.oracles import (
+    build_multipoles_reference,
+    build_tree_reference,
+    compute_monopoles_reference,
+    sum_interactions_up_reference,
+)
 
 from bench_util import bench_case, emit_bench_json
 
@@ -83,7 +90,7 @@ def bench_pipeline(n: int, reps: int, seed: int) -> dict:
         raise SystemExit(f"n={n}: vectorized build deviates from reference")
 
     t_mono_ref, _ = _best_of(
-        lambda: tree.compute_monopoles_reference(particles), reps)
+        lambda: compute_monopoles_reference(tree, particles), reps)
     mass_ref, com_ref = tree.mass.copy(), tree.com.copy()
     t_mono_vec, _ = _best_of(
         lambda: tree.compute_monopoles(particles), reps)
@@ -95,7 +102,7 @@ def bench_pipeline(n: int, reps: int, seed: int) -> dict:
 
     def up_ref():
         tree.interactions[:] = base
-        tree.sum_interactions_up_reference()
+        sum_interactions_up_reference(tree)
         return tree.interactions.copy()
 
     def up_vec():
@@ -111,7 +118,7 @@ def bench_pipeline(n: int, reps: int, seed: int) -> dict:
 
     def multi_ref():
         tm = TreeMultipoles(tree, None, DEGREE)
-        tm._build_reference(particles)
+        build_multipoles_reference(tm, particles)
         return tm.coeffs
 
     def multi_vec():
@@ -194,7 +201,7 @@ def legacy_pipeline():
                                     max_depth=max_depth, **kw)
 
     tree_build.build_tree = reference_build
-    TreeMultipoles._build = TreeMultipoles._build_reference
+    TreeMultipoles._build = build_multipoles_reference
     il.FRONTIER_AUTO_NODE_TARGET_RATIO = float("inf")   # always DFS
     simulation.CARRY_MORTON_KEYS = False
     try:

@@ -81,7 +81,8 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 RESULTS_DIR = os.path.join(HERE, "results")
 TRAJECTORY = os.path.join(RESULTS_DIR, "trajectory.jsonl")
-SRC_DIR = os.path.join(os.path.dirname(HERE), "src")
+REPO_DIR = os.path.dirname(HERE)
+SRC_DIR = os.path.join(REPO_DIR, "src")
 
 SCHEMA_VERSION = 1
 DEFAULT_THRESHOLD = 10.0      # percent
@@ -376,10 +377,11 @@ def cmd_run(args) -> int:
         spec = BENCHES[name]
         argv = [sys.executable, os.path.join(HERE, spec["script"])]
         argv += spec["smoke"] if args.smoke else spec["full"]
-        # Benches import repro from the source tree; absolutize it so
-        # the child works regardless of the caller's cwd/PYTHONPATH.
+        # Benches import repro from the source tree and the oracles
+        # from tests/; absolutize both so the child works regardless of
+        # the caller's cwd/PYTHONPATH.
         env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + (
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + REPO_DIR + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
             else "")
         print(f"== {name}: {' '.join(argv[1:])}")

@@ -130,10 +130,9 @@ def set_threads(threads: int | None) -> None:
     with ``threads=None``).  Thread count never changes result bits —
     see the module determinism contract."""
     nb = _import_numba()
-    if nb is None or threads is None:
-        return
-    limit = nb.config.NUMBA_NUM_THREADS
-    nb.set_num_threads(max(1, min(int(threads), limit)))
+    if nb is not None and threads is not None:
+        limit = nb.config.NUMBA_NUM_THREADS
+        nb.set_num_threads(max(1, min(int(threads), limit)))
 
 
 # ------------------------------------------------------------ jit kernels

@@ -14,7 +14,9 @@ them:
    chunked kernels: a single grouped gather per evaluator over *all*
    accepted cluster interactions, and a flat pair-expansion of the
    particle-particle work whose temporaries are bounded by a
-   configurable working-set size.
+   configurable working-set size.  There is one numpy evaluation path:
+   chunks are owned by fixed accumulation slots (see :func:`_run_slots`),
+   so the result bits do not depend on the thread count.
 
 Because the lists depend only on the tree geometry, the MAC, and the
 target positions — never on the evaluator or the evaluation mode — one
@@ -129,10 +131,11 @@ class InteractionLists:
     _p2p_groups: list | None = None
     _cluster_per_target: np.ndarray | None = None
     _p2p_src_per_target: np.ndarray | None = None
-    # P2P kernel scratch, keyed by (slot, ns, chunk): one set of
-    # buffers serves every chunk of a slot and persists across evaluate
-    # calls on the same lists.  Bitwise-neutral — every buffer is fully
-    # overwritten before it is read within a chunk.
+    # P2P kernel scratch, keyed by (slot, ns, chunk), the slot being 0
+    # for every slot of a one-thread run: one set of buffers serves
+    # every chunk of a slot and persists across evaluate calls on the
+    # same lists.  Bitwise-neutral — every buffer is fully overwritten
+    # before it is read within a chunk.
     _scratch: dict | None = None
 
     @property
@@ -209,15 +212,13 @@ def _concat(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
-              start: int, fast_mac: bool):
+def _walk_dfs(tree: Tree, targets: np.ndarray, alpha: float,
+              cls: np.ndarray, start: int):
     """The classical batched depth-first descent: a Python stack of
-    (node, target-index-array) pairs, node data kept scalar.  Handles
-    any MAC object (only this walk can call a custom ``accept``)."""
+    (node, target-index-array) pairs, node data kept scalar."""
     nt = targets.shape[0]
     children = tree.children
     com, center, half = tree.com, tree.center, tree.half
-    alpha = getattr(mac, "alpha", None)
 
     cl_nodes: list[int] = []
     cl_idx: list[np.ndarray] = []
@@ -241,14 +242,11 @@ def _walk_dfs(tree: Tree, targets: np.ndarray, mac, cls: np.ndarray,
         mac_tests += idx.size
         mac_per_target[idx] += 1
         t = targets[idx]
-        if fast_mac:
-            # Bit-for-bit the expressions of BarnesHutMAC.accept.
-            diff = t - com[node]
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            ok = (2.0 * half[node] < alpha * dist) \
-                & ~np.all(np.abs(t - center[node]) < half[node], axis=1)
-        else:
-            ok = mac.accept(tree, node, t)
+        # Bit-for-bit the expressions of BarnesHutMAC.accept.
+        diff = t - com[node]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ok = (2.0 * half[node] < alpha * dist) \
+            & ~np.all(np.abs(t - center[node]) < half[node], axis=1)
         far = idx[ok]
         if far.size:
             cl_nodes.append(node)
@@ -363,7 +361,7 @@ def _walk_frontier(tree: Tree, targets: np.ndarray, alpha: float,
 
 
 def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
-                            mac, root: int | None = None,
+                            mac: BarnesHutMAC, root: int | None = None,
                             method: str = "auto") -> InteractionLists:
     """The list-building pass: one MAC walk, no kernel evaluation.
 
@@ -371,11 +369,10 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     depth-first descent (``method="dfs"``) and a level-synchronous
     frontier walk (``method="frontier"``) that advances every live
     (node, target) pair at once per tree level.  ``"auto"`` picks the
-    frontier walk under the stock :class:`BarnesHutMAC` (whose criterion
-    it inlines) when the tree is large relative to the target batch
+    frontier walk when the tree is large relative to the target batch
     (see :data:`FRONTIER_AUTO_NODE_TARGET_RATIO`), and the depth-first
-    walk for large batches or MAC subclasses with a custom ``accept``.
-    Both apply the MAC with the
+    walk for large batches.  Both inline the :class:`BarnesHutMAC`
+    criterion with the
     identical floating-point expressions as the classical traversal, so
     every accept/refine decision — and hence all interaction counters,
     per-node DPDA counts, and remote bins — match it exactly; only list
@@ -406,29 +403,17 @@ def build_interaction_lists(tree: Tree, target_positions: np.ndarray,
     cls[(children == NO_CHILD).all(axis=1)] = 1       # leaf
     cls[counts == 0] = 3                              # empty: skipped
     cls[tree.remote_owner >= 0] = 2                   # remote
-    # Inline the MAC for the stock criterion; any subclass that overrides
-    # accept() goes through its own method (depth-first walk only).
-    fast_mac = (type(mac) is BarnesHutMAC)
     if method not in ("auto", "frontier", "dfs"):
         raise ValueError(f"unknown walk method {method!r}")
-    if method == "frontier" and not fast_mac:
-        raise ValueError("the frontier walk inlines the stock "
-                         "BarnesHutMAC; use method='dfs' for custom MACs")
     if method == "auto":
-        use_frontier = (fast_mac and tree.nnodes
-                        >= FRONTIER_AUTO_NODE_TARGET_RATIO * nt)
+        use_frontier = tree.nnodes >= FRONTIER_AUTO_NODE_TARGET_RATIO * nt
     else:
         use_frontier = method == "frontier"
 
     start = tree.ROOT if root is None else root
-    if use_frontier:
-        (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-         mac_tests, mac_per_target) = _walk_frontier(
-            tree, targets, mac.alpha, cls, start)
-    else:
-        (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
-         mac_tests, mac_per_target) = _walk_dfs(
-            tree, targets, mac, cls, start, fast_mac)
+    walk = _walk_frontier if use_frontier else _walk_dfs
+    (cluster_node, cluster_tgt, p2p_leaf, p2p_tgt, remote_pairs,
+     mac_tests, mac_per_target) = walk(tree, targets, mac.alpha, cls, start)
 
     # Sorted keys and sorted contents: bin composition is independent of
     # the walk and of its visit order.
@@ -462,36 +447,37 @@ def _accumulate(values: np.ndarray, tgt: np.ndarray,
                                         minlength=nt)
 
 
-def _run_slots(run_slot, threads: int) -> None:
-    """Execute the ``ACCUM_SLOTS`` slot workers, serially or on a thread
-    pool.  Results are bitwise independent of ``threads``: each slot
-    owns a private accumulation buffer and a fixed chunk subsequence
-    (chunk ``c`` belongs to slot ``c % ACCUM_SLOTS``), and the caller
-    reduces slot buffers in slot order."""
-    slots = compiled.ACCUM_SLOTS
-    if threads <= 1:
-        for s in range(slots):
-            run_slot(s)
-        return
-    with ThreadPoolExecutor(max_workers=min(threads, slots)) as ex:
-        list(ex.map(run_slot, range(slots)))  # list() surfaces errors
+def _run_slots(values: np.ndarray, nslots: int, threads: int,
+               run_slot) -> None:
+    """Run ``run_slot(s, out)`` for the slots ``0 .. nslots - 1`` (the
+    ones that own a chunk), serially or on a thread pool.
 
-
-def _reduce_slots(values: np.ndarray, bufs: list) -> None:
-    for b in bufs:                 # slot order — part of the sum tree
-        if b is not None:
-            values += b
+    Chunk ``c`` of a pass belongs to slot ``c % ACCUM_SLOTS``, and each
+    slot scans its chunks in order.  Slot 0 accumulates straight into
+    ``values``; every other slot gets a private zeroed buffer, and those
+    buffers are added to ``values`` in slot order once all slots are
+    done.  No slot reads what another writes, so the sum tree — and the
+    result bits — depend on the chunk layout only, never on
+    ``threads``.  With a single chunk this is the plain serial loop."""
+    outs = [values] + [np.zeros_like(values) for _ in range(1, nslots)]
+    if threads <= 1 or nslots <= 1:
+        for s in range(nslots):
+            run_slot(s, outs[s])
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, nslots)) as ex:
+            list(ex.map(run_slot, range(nslots), outs))  # surfaces errors
+    for out in outs[1:]:           # slot order — part of the sum tree
+        values += out
 
 
 def _cluster_pass(lists: InteractionLists, values: np.ndarray,
                   evaluator, mode: str, chunk_bytes: int,
-                  tier: str = "numpy", threads: int | None = None) -> None:
+                  tier: str, threads: int | None) -> None:
     n = lists.cluster_tgt.size
     if n == 0:
         return
     if tier == "numba":
-        info_fn = getattr(evaluator, "compiled_cluster_data", None)
-        info = info_fn(mode) if info_fn is not None else None
+        info = evaluator.compiled_cluster_data(mode)
         if info is not None:
             com, mass, soft = info
             compiled.cluster_pass(values, lists.targets,
@@ -502,79 +488,61 @@ def _cluster_pass(lists: InteractionLists, values: np.ndarray,
         # multipole potentials): fall through to the numpy batch path.
     batch = getattr(evaluator,
                     "batch_potential" if mode == "potential"
-                    else "batch_force", None)
-    if batch is None:
-        _cluster_pass_grouped(lists, values, evaluator, mode)
-        return
-    row = int(getattr(evaluator, "batch_row_bytes", 8 * (6 * lists.d + 8)))
-    chunk = max(1, chunk_bytes // max(row, 1))
-
-    def do_chunk(out, lo, hi):
-        tgt = lists.cluster_tgt[lo:hi]
-        contrib = batch(lists.cluster_node[lo:hi], lists.targets[tgt])
-        _accumulate(out, tgt, contrib, lists.nt)
-
-    if threads is None:            # legacy serial path, bit for bit
-        for lo in range(0, n, chunk):
-            do_chunk(values, lo, min(lo + chunk, n))
-        return
-
+                    else "batch_force")
+    chunk = max(1, chunk_bytes // max(int(evaluator.batch_row_bytes), 1))
     nchunks = -(-n // chunk)
-    bufs: list = [None] * compiled.ACCUM_SLOTS
 
-    def run_slot(s):
-        out = None
+    def run_slot(s, out):
         for ci in range(s, nchunks, compiled.ACCUM_SLOTS):
-            if out is None:
-                out = np.zeros_like(values)
-                bufs[s] = out
             lo = ci * chunk
-            do_chunk(out, lo, min(lo + chunk, n))
+            tgt = lists.cluster_tgt[lo:lo + chunk]
+            contrib = batch(lists.cluster_node[lo:lo + chunk],
+                            lists.targets[tgt])
+            _accumulate(out, tgt, contrib, lists.nt)
 
-    _run_slots(run_slot, threads)
-    _reduce_slots(values, bufs)
+    _run_slots(values, min(nchunks, compiled.ACCUM_SLOTS), threads or 1,
+               run_slot)
 
 
-def _cluster_pass_grouped(lists: InteractionLists, values: np.ndarray,
-                          evaluator, mode: str) -> None:
-    """Fallback for evaluators without a batch interface: group the
-    accepted pairs by node and make one vectorized call per node."""
-    order = np.argsort(lists.cluster_node, kind="stable")
-    nodes = lists.cluster_node[order]
-    tgts = lists.cluster_tgt[order]
-    bounds = np.flatnonzero(np.diff(nodes)) + 1
-    fn_name = "node_potential" if mode == "potential" else "node_force"
-    fn = getattr(evaluator, fn_name)
-    for seg_tgt, node in zip(np.split(tgts, bounds),
-                             nodes[np.concatenate(([0], bounds))]):
-        values[seg_tgt] += fn(int(node), lists.targets[seg_tgt])
+def _p2p_rows(n: int, ns: int, d: int, chunk_bytes: int) -> int:
+    """Target rows per P2P chunk of a leaf group with ``ns`` sources."""
+    # live temporaries per target row: the (chunk, ns, d) source gather
+    # + diff blocks and a few (chunk, ns) scalars
+    row = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
+    return min(n, max(1, chunk_bytes // row))
+
+
+def _p2p_buffers(chunk: int, ns: int, d: int) -> tuple:
+    """P2P chunk buffers: diff tensor, squared distances, per-pair
+    weights, gathered masses."""
+    return (np.empty((chunk, ns, d)), np.empty((chunk, ns)),
+            np.empty((chunk, ns)), np.empty((chunk, ns)))
 
 
 def _p2p_scratch(lists: InteractionLists, slot: int, ns: int,
                  chunk: int) -> tuple:
-    """Reusable P2P chunk buffers (diff tensor, squared distances,
-    per-pair weights, gathered masses), cached on the lists so every
-    chunk of a slot — and any later evaluation of the same lists —
-    reuses one allocation."""
+    """P2P chunk buffers cached on the lists, so every chunk of a slot —
+    and any later evaluation of the same lists — reuses one
+    allocation."""
     if lists._scratch is None:
         lists._scratch = {}
     key = (slot, ns, chunk)
     bufs = lists._scratch.get(key)
     if bufs is None:
-        d = lists.d
-        bufs = (np.empty((chunk, ns, d)), np.empty((chunk, ns)),
-                np.empty((chunk, ns)), np.empty((chunk, ns)))
-        lists._scratch[key] = bufs
+        bufs = lists._scratch[key] = _p2p_buffers(chunk, ns, lists.d)
     return bufs
 
 
-def _p2p_chunk(lists: InteractionLists, out: np.ndarray,
+def _p2p_chunk(nt: int, out: np.ndarray,
                tgt: np.ndarray, tpos: np.ndarray, row_entry: np.ndarray,
                sp: np.ndarray, sm: np.ndarray | None, lo: int, hi: int,
                force: bool, soft2: float, scale: float,
                scratch: tuple) -> None:
-    """One fused P2P chunk: gather, subtract, rsqrt, contract,
-    scatter-add — accumulated onto ``out``."""
+    """One fused P2P chunk over target rows ``lo:hi``: gather, subtract,
+    rsqrt, contract, scatter-add onto ``out`` (``nt`` targets).  Row
+    ``i`` is target ``tgt[i]`` at ``tpos[i]`` against source block
+    ``sp[row_entry[i]]`` (masses ``sm`` likewise, or ``None`` when
+    ``scale`` already carries a uniform mass)."""
     diff, r2, w, mbuf = scratch
     c = hi - lo
     tg = tgt[lo:hi]
@@ -604,12 +572,12 @@ def _p2p_chunk(lists: InteractionLists, out: np.ndarray,
             wv *= mbuf[:c]
         contrib = np.einsum("ij,ijk->ik", wv, dv)
     contrib *= scale
-    _accumulate(out, tg, contrib, lists.nt)
+    _accumulate(out, tg, contrib, nt)
 
 
 def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
               sources, mode: str, softening: float, chunk_bytes: int,
-              tier: str = "numpy", threads: int | None = None) -> None:
+              tier: str, threads: int | None) -> None:
     if lists.p2p_leaf.size == 0:
         return
     if sources is None:
@@ -619,57 +587,35 @@ def _p2p_pass(lists: InteractionLists, values: np.ndarray, tree: Tree,
         compiled.p2p_pass(values, lists, tree, sources, mode, softening,
                           threads)
         return
+    threads = threads or 1
     smass = sources.masses
     uniform = smass.size > 0 and bool(np.all(smass == smass[0]))
     # With uniform masses the scalar factor moves outside the row sums
     # (per-pair values differ only in rounding, ~1e-16 relative).
     scale = -kernels.G * (float(smass[0]) if uniform else 1.0)
-    d = lists.d
     soft2 = softening ** 2
     force = mode == "force"
-    groups = lists.p2p_groups(tree, sources)
+    plans = []
+    for group in lists.p2p_groups(tree, sources):
+        n, ns = group[0].size, group[3].shape[1]
+        chunk = _p2p_rows(n, ns, lists.d, chunk_bytes)
+        plans.append((group, n, ns, chunk, -(-n // chunk)))
+    nslots = min(compiled.ACCUM_SLOTS, max(p[4] for p in plans))
 
-    def plan(n, ns):
-        # live temporaries per target row: the (chunk, ns, d) source
-        # gather + diff blocks and a few (chunk, ns) scalars
-        row = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
-        return min(n, max(1, chunk_bytes // row))
-
-    if threads is None:            # legacy serial path, bit for bit
-        for tgt, tpos, row_entry, sp, sm in groups:
-            n = tgt.size
-            if n == 0:
+    def run_slot(s, out):
+        # Slots share scratch when they run one after another.
+        key = s if threads > 1 else 0
+        for (tgt, tpos, row_entry, sp, sm), n, ns, chunk, nchunks in plans:
+            if s >= nchunks:
                 continue
-            chunk = plan(n, sp.shape[1])
-            scratch = _p2p_scratch(lists, 0, sp.shape[1], chunk)
-            for lo in range(0, n, chunk):
-                _p2p_chunk(lists, values, tgt, tpos, row_entry, sp, sm,
-                           lo, min(lo + chunk, n), force, soft2, scale,
-                           scratch)
-        return
-
-    bufs: list = [None] * compiled.ACCUM_SLOTS
-
-    def run_slot(s):
-        out = None
-        for tgt, tpos, row_entry, sp, sm in groups:
-            n = tgt.size
-            if n == 0:
-                continue
-            chunk = plan(n, sp.shape[1])
-            nchunks = -(-n // chunk)
+            scratch = _p2p_scratch(lists, key, ns, chunk)
             for ci in range(s, nchunks, compiled.ACCUM_SLOTS):
-                if out is None:
-                    out = np.zeros_like(values)
-                    bufs[s] = out
-                scratch = _p2p_scratch(lists, s, sp.shape[1], chunk)
                 lo = ci * chunk
-                _p2p_chunk(lists, out, tgt, tpos, row_entry, sp, sm,
+                _p2p_chunk(lists.nt, out, tgt, tpos, row_entry, sp, sm,
                            lo, min(lo + chunk, n), force, soft2, scale,
                            scratch)
 
-    _run_slots(run_slot, threads)
-    _reduce_slots(values, bufs)
+    _run_slots(values, nslots, threads, run_slot)
 
 
 def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
@@ -692,16 +638,16 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     ``kernel_tier`` selects the arithmetic backend (see
     :mod:`repro.bh.compiled`); counters, DPDA counts and weights come
     from the walk and are tier-independent by construction.
-    ``kernel_threads=None`` keeps the original serial numpy loop bit
-    for bit; any explicit thread count (including 1) switches to the
-    slot-deterministic evaluator whose results are bitwise independent
-    of the count.
+    ``kernel_threads`` is how many threads run the slot-deterministic
+    evaluator; its results are bitwise independent of the count.
+    ``None`` means one thread on the numpy tier and numba's own thread
+    count on the numba tier.
     """
     if mode not in ("potential", "force"):
         raise ValueError(f"mode must be 'potential' or 'force', got {mode!r}")
     if kernel_threads is not None and int(kernel_threads) < 1:
         raise ValueError("kernel_threads must be >= 1 (or None for the "
-                         "serial path)")
+                         "default)")
     tier = compiled.resolve_tier(kernel_tier)
     nt, d = lists.nt, lists.d
     values = np.zeros(nt) if mode == "potential" else np.zeros((nt, d))
@@ -716,10 +662,9 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
     ws = (DEFAULT_WORKING_SET_BYTES if working_set_bytes is None
           else int(working_set_bytes))
 
-    threads = None if kernel_threads is None else int(kernel_threads)
-    _cluster_pass(lists, values, evaluator, mode, ws, tier, threads)
+    _cluster_pass(lists, values, evaluator, mode, ws, tier, kernel_threads)
     _p2p_pass(lists, values, tree, sources, mode, softening, ws,
-              tier, threads)
+              tier, kernel_threads)
 
     if count_node_interactions:
         nn = tree.nnodes
@@ -746,7 +691,10 @@ def evaluate_interaction_lists(tree: Tree, lists: InteractionLists,
 class TraversalEngine:
     """One tree's traversal settings: every :meth:`compute` walks the
     tree for its target batch and evaluates the resulting lists.
-    ``walks_built`` counts the walks."""
+    ``walks_built`` counts the walks.  ``working_set_bytes``,
+    ``kernel_tier`` and ``kernel_threads`` are passed through to
+    :func:`evaluate_interaction_lists` (``kernel_threads=None``: one
+    thread on the numpy tier)."""
 
     def __init__(self, tree: Tree, sources=None, mac=None,
                  softening: float = 0.0,
@@ -755,7 +703,7 @@ class TraversalEngine:
                  kernel_threads: int | None = None):
         if kernel_threads is not None and int(kernel_threads) < 1:
             raise ValueError("kernel_threads must be >= 1 (or None for "
-                             "the serial path)")
+                             "the default)")
         self.tree = tree
         self.sources = sources
         self.mac = mac

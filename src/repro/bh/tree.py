@@ -11,14 +11,13 @@ Construction is *level-synchronous*: a whole frontier of pending cells
 is collapsed, emitted, and split per wave with array operations (the
 style of Warren-Salmon hashed treecodes and Dubinski's parallel tree
 code, which derive the tree from sorted keys rather than per-particle
-insertion).  The classical node-at-a-time recursion is kept as
-:func:`build_tree_reference` — the oracle the vectorized builder is
-tested against for exact array equality.  Node ids are identical
-between the two: the recursion numbers nodes in depth-first pre-order,
-and because every node's particle slice nests inside its parent's and
-siblings partition the parent slice in Morton order, pre-order is
-exactly the lexicographic order on ``(start, depth)`` — so the
-level-synchronous emission is renumbered with one ``lexsort``.
+insertion).  Node ids follow the classical node-at-a-time recursion's
+depth-first pre-order (the tests keep that recursion as an oracle and
+compare arrays exactly): because every node's particle slice nests
+inside its parent's and siblings partition the parent slice in Morton
+order, pre-order is exactly the lexicographic order on
+``(start, depth)`` — so the level-synchronous emission is renumbered
+with one ``lexsort``.
 
 Cell identity: every node corresponds to a spatial cell addressed by
 ``(depth, path_key)`` where ``path_key`` is the node's Morton prefix (the
@@ -33,7 +32,7 @@ creates those; the distributed top-tree merge does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,8 +222,8 @@ class Tree:
         Level-batched: leaves are grouped by slice length and reduced as
         contiguous (g, L) blocks, internal nodes per level grouped by
         child count — both reductions use the same pairwise-summation
-        order as the per-node reference scan, so the results are bitwise
-        identical to :meth:`compute_monopoles_reference`.
+        order as a per-node reverse scan, so the results are bitwise
+        identical to that scan (the oracle the tests keep).
 
         ``nodes`` restricts the pass to a subset (tree repair: only
         nodes on dirty root-paths).  Restricted results are bitwise
@@ -275,35 +274,6 @@ class Tree:
                                        weighted / safe[:, None],
                                        self.center[nodes])
 
-    def compute_monopoles_reference(self, particles: ParticleSet) -> None:
-        """Per-node reverse-scan monopole pass — the oracle
-        :meth:`compute_monopoles` is validated against."""
-        pos, m = particles.positions, particles.masses
-        for node in range(self.nnodes - 1, -1, -1):
-            if self.is_remote(node):
-                continue
-            lo, hi = self.start[node], self.end[node]
-            if self.is_leaf(node):
-                idx = self.order[lo:hi]
-                mm = m[idx]
-                total = mm.sum()
-                self.mass[node] = total
-                if total > 0:
-                    self.com[node] = (mm[:, None] * pos[idx]).sum(axis=0) / total
-                else:
-                    self.com[node] = self.center[node]
-            else:
-                kids = self.children[node]
-                kids = kids[kids != NO_CHILD]
-                total = self.mass[kids].sum()
-                self.mass[node] = total
-                if total > 0:
-                    self.com[node] = (
-                        self.mass[kids, None] * self.com[kids]
-                    ).sum(axis=0) / total
-                else:
-                    self.com[node] = self.center[node]
-
     def sum_interactions_up(self) -> None:
         """Propagate per-node interaction counts to ancestors (DPDA:
         "this variable is summed up along the tree").
@@ -311,7 +281,7 @@ class Tree:
         Level-batched child→parent scatters, deepest level first, so
         every node's count already includes its whole subtree when its
         parent reads it.  Counters are integers, so the result is
-        exactly :meth:`sum_interactions_up_reference`.
+        exactly the per-node reverse scan.
         """
         for _, ids in reversed(self.nodes_by_level()):
             kids = self.children[ids]
@@ -321,73 +291,6 @@ class Tree:
             vals = np.where(valid, self.interactions[np.where(valid, kids, 0)],
                             0)
             self.interactions[ids] += vals.sum(axis=1)
-
-    def sum_interactions_up_reference(self) -> None:
-        """Per-node reverse scan (relies on every child id being greater
-        than its parent id) — the oracle for the level-batched pass."""
-        for node in range(self.nnodes - 1, -1, -1):
-            kids = self.children[node]
-            kids = kids[kids != NO_CHILD]
-            if kids.size:
-                self.interactions[node] += self.interactions[kids].sum()
-
-
-@dataclass
-class _Builder:
-    keys: np.ndarray       # Morton keys in sorted order
-    order: np.ndarray      # particle indices in Morton order
-    dims: int
-    bits: int
-    leaf_capacity: int
-    collapse_chains: bool
-    root_box: Box
-    children: list = field(default_factory=list)
-    depth: list = field(default_factory=list)
-    path_key: list = field(default_factory=list)
-    center: list = field(default_factory=list)
-    half: list = field(default_factory=list)
-    start: list = field(default_factory=list)
-    end: list = field(default_factory=list)
-
-    def build(self, lo: int, hi: int, depth: int, path_key: int,
-              box: Box) -> int:
-        d = self.dims
-        nkids = 1 << d
-        # Chain collapsing: while every particle falls in a single child,
-        # descend without materialising the chain node (bounds tree size
-        # for pathological pairs, as in Callahan-Kosaraju).
-        if self.collapse_chains:
-            while hi - lo > self.leaf_capacity and depth < self.bits:
-                shift = (self.bits - depth - 1) * d
-                first = (int(self.keys[lo]) >> shift) & (nkids - 1)
-                last = (int(self.keys[hi - 1]) >> shift) & (nkids - 1)
-                if first != last:
-                    break
-                depth += 1
-                path_key = (path_key << d) | first
-                box = box.child(first)
-
-        node = len(self.children)
-        self.children.append(np.full(nkids, NO_CHILD, dtype=np.int32))
-        self.depth.append(depth)
-        self.path_key.append(path_key)
-        self.center.append(box.center)
-        self.half.append(box.half)
-        self.start.append(lo)
-        self.end.append(hi)
-
-        if hi - lo > self.leaf_capacity and depth < self.bits:
-            shift = (self.bits - depth - 1) * d
-            groups = (self.keys[lo:hi] >> shift) & (nkids - 1)
-            bounds = np.searchsorted(groups, np.arange(nkids + 1)) + lo
-            for c in range(nkids):
-                clo, chi = int(bounds[c]), int(bounds[c + 1])
-                if chi > clo:
-                    self.children[node][c] = self.build(
-                        clo, chi, depth + 1, (path_key << d) | c,
-                        box.child(c)
-                    )
-        return node
 
 
 def _emit_levels(keys: np.ndarray, dims: int, bits: int,
@@ -552,7 +455,7 @@ def _build_levels(keys: np.ndarray, dims: int, bits: int,
 def _prepare(particles: ParticleSet, box: Box | None, leaf_capacity: int,
              max_depth: int | None, keys: np.ndarray | None
              ) -> tuple[Box, int, np.ndarray, np.ndarray]:
-    """Shared validation + key sorting of both builders."""
+    """Validation and Morton-key sorting ahead of construction."""
     if leaf_capacity < 1:
         raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
     if particles.n == 0:
@@ -589,15 +492,6 @@ def _prepare(particles: ParticleSet, box: Box | None, leaf_capacity: int,
     return box, bits, keys[order], order
 
 
-#: Below this many particles the recursive builder's small constant
-#: factor beats the level-synchronous builder's array setup (measured
-#: crossover ~100 on Plummer sets); :func:`build_tree` dispatches tiny
-#: inputs there.  Outputs are identical either way, so the cutoff is
-#: purely a performance knob — the distributed schemes build many
-#: few-particle subtrees (one per owned cell) where it matters.
-SMALL_BUILD_CUTOFF = 128
-
-
 def build_tree(particles: ParticleSet, box: Box | None = None,
                leaf_capacity: int = 8, max_depth: int | None = None,
                collapse_chains: bool = True,
@@ -605,10 +499,9 @@ def build_tree(particles: ParticleSet, box: Box | None = None,
                keys: np.ndarray | None = None) -> Tree:
     """Build a Barnes-Hut tree over ``particles`` (level-synchronous).
 
-    Produces arrays exactly equal to :func:`build_tree_reference` — same
-    node numbering, same boxes bit for bit.  Inputs smaller than
-    :data:`SMALL_BUILD_CUTOFF` go through the recursive builder, which
-    has the smaller constant factor (same output).
+    Produces arrays exactly equal to the node-at-a-time recursive build
+    — same node numbering (depth-first pre-order), same boxes bit for
+    bit.
 
     Parameters
     ----------
@@ -628,12 +521,6 @@ def build_tree(particles: ParticleSet, box: Box | None = None,
         ``max_depth`` bits relative to ``box``).  Skips quantization and
         the root-box containment check — the keys define membership.
     """
-    if particles.n < SMALL_BUILD_CUTOFF:
-        return build_tree_reference(
-            particles, box=box, leaf_capacity=leaf_capacity,
-            max_depth=max_depth, collapse_chains=collapse_chains,
-            compute_monopoles=compute_monopoles, keys=keys,
-        )
     box, bits, sorted_keys, order = _prepare(particles, box, leaf_capacity,
                                              max_depth, keys)
     arrays = _build_levels(sorted_keys, particles.dims, bits, leaf_capacity,
@@ -644,38 +531,4 @@ def build_tree(particles: ParticleSet, box: Box | None = None,
     )
     if compute_monopoles:
         tree.compute_monopoles(particles)
-    return tree
-
-
-def build_tree_reference(particles: ParticleSet, box: Box | None = None,
-                         leaf_capacity: int = 8,
-                         max_depth: int | None = None,
-                         collapse_chains: bool = True,
-                         compute_monopoles: bool = True,
-                         keys: np.ndarray | None = None) -> Tree:
-    """Node-at-a-time recursive tree construction — the oracle and bench
-    baseline for :func:`build_tree`.  Same signature, same output."""
-    box, bits, sorted_keys, order = _prepare(particles, box, leaf_capacity,
-                                             max_depth, keys)
-    builder = _Builder(keys=sorted_keys, order=order, dims=particles.dims,
-                       bits=bits, leaf_capacity=leaf_capacity,
-                       collapse_chains=collapse_chains, root_box=box)
-    builder.build(0, particles.n, 0, 0, box)
-
-    tree = Tree(
-        root_box=box,
-        dims=particles.dims,
-        leaf_capacity=leaf_capacity,
-        max_depth=bits,
-        children=np.stack(builder.children),
-        depth=np.asarray(builder.depth, dtype=np.int32),
-        path_key=np.asarray(builder.path_key, dtype=np.int64),
-        center=np.stack(builder.center),
-        half=np.asarray(builder.half, dtype=np.float64),
-        start=np.asarray(builder.start, dtype=np.int64),
-        end=np.asarray(builder.end, dtype=np.int64),
-        order=order,
-    )
-    if compute_monopoles:
-        tree.compute_monopoles_reference(particles)
     return tree

@@ -26,7 +26,8 @@ containing a moved particle are recomputed (restricted
 ``compute_monopoles`` — per-row-independent grouped reductions, so the
 restriction is also bitwise neutral).  Full rebuild is kept both as the
 oracle (tests) and as the fallback when the changed-key fraction
-exceeds ``dirty_threshold``.
+exceeds ``dirty_threshold`` or the tree holds fewer than
+:data:`REBUILD_BELOW` particles.
 """
 
 from __future__ import annotations
@@ -36,8 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bh.particles import ParticleSet
-from repro.bh.tree import NO_CHILD, SMALL_BUILD_CUTOFF, Tree, _emit_levels, \
-    build_tree
+from repro.bh.tree import NO_CHILD, Tree, _emit_levels, build_tree
+
+#: Below this many particles :func:`repair_tree` falls back to a full
+#: rebuild: a small subtree rebuilds as fast as it can be diffed.  The
+#: branch taken shows in block runs' ``repair.*`` counters, so the value
+#: is pinned, not tuned.
+REBUILD_BELOW = 128
 
 
 @dataclass
@@ -121,7 +127,7 @@ def repair_tree(tree: Tree, particles: ParticleSet, old_keys: np.ndarray,
     n_changed = int(changed.sum())
     d, bits = tree.dims, tree.max_depth
 
-    if force_full or n < SMALL_BUILD_CUTOFF \
+    if force_full or n < REBUILD_BELOW \
             or n_changed > dirty_threshold * n:
         return _full_rebuild(tree, particles, new_keys, collapse_chains,
                              n_changed)

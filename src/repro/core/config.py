@@ -60,9 +60,10 @@ class SchemeConfig:
         (numba when available).  Values stay within the engine's 1e-12
         contract; interaction counters are tier-independent.
     kernel_threads:
-        ``None`` keeps the original serial numpy loop bit for bit; any
-        explicit count (including 1) selects the slot-deterministic
-        evaluator whose results are bitwise independent of the count.
+        Threads per rank for the slot-deterministic evaluator, whose
+        results are bitwise independent of the count.  ``None`` means
+        one thread on the numpy tier and numba's own thread count on the
+        numba tier; it selects no separate code path.
     integrator:
         Particle advance: ``"euler"`` (semi-implicit Euler, the
         original loop — bitwise default) or ``"kdk"`` (kick-drift-kick
@@ -135,7 +136,7 @@ class SchemeConfig:
                              f"got {self.kernel_tier!r}")
         if self.kernel_threads is not None and self.kernel_threads < 1:
             raise ValueError("kernel_threads must be >= 1 (or None for "
-                             "the serial path)")
+                             "the default)")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, "
                              f"got {self.integrator!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.bh import compiled, kernels
 from repro.bh.interaction_lists import DEFAULT_WORKING_SET_BYTES, \
-    _accumulate
+    _accumulate, _p2p_buffers, _p2p_chunk, _p2p_rows
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MultipoleExpansion3D, irregular_terms
 from repro.bh.particles import Box, ParticleSet
@@ -307,9 +307,9 @@ class DataShippingEngine:
                      idx_lists: list[np.ndarray]) -> None:
         """Fused particle-particle pass over fetched leaf payloads.
 
-        Leaf visits are grouped by particle count so each group runs as
-        one chunked (pairs, ns, d) kernel — the same shape as the
-        interaction-list engine's P2P pass.
+        Leaf visits are grouped by particle count so each group runs
+        through the interaction-list engine's chunked (pairs, ns, d) P2P
+        kernel, one scratch set per group.
         """
         mode = self.config.mode
         soft2 = self.config.softening ** 2
@@ -324,35 +324,22 @@ class DataShippingEngine:
             sizes = np.array([idx_lists[i].size for i in which])
             rows = np.repeat(np.arange(which.size), sizes)
             tgt = np.concatenate([idx_lists[i] for i in which])
+            tpos = targets[tgt]
             if self.kernel_tier == "numba":
                 # Same compiled P2P kernel as the interaction-list
                 # engine's leaf groups.
                 compiled.p2p_group_pass(
-                    values, targets[tgt], tgt, rows, sp, sm, False,
+                    values, tpos, tgt, rows, sp, sm, False,
                     self.config.softening, -kernels.G, mode,
                     self.config.kernel_threads)
                 continue
-            row_bytes = 8 * (2 * ns * d + 4 * ns + 2 * d + 4)
-            chunk = max(1, self._working_set // row_bytes)
-            for lo in range(0, tgt.size, chunk):
-                hi = min(lo + chunk, tgt.size)
-                r, tg = rows[lo:hi], tgt[lo:hi]
-                diff = targets[tg][:, None, :] - sp[r]      # (c, ns, d)
-                r2 = np.einsum("ijk,ijk->ij", diff, diff) + soft2
-                zero = r2 == 0.0
-                np.sqrt(r2, out=r2)
-                with np.errstate(divide="ignore"):
-                    np.divide(1.0, r2, out=r2)              # inv_r
-                r2[zero] = 0.0
-                if mode == "potential":
-                    contrib = np.einsum("ij,ij->i", r2, sm[r])
-                else:
-                    w = r2 * r2
-                    w *= r2
-                    w *= sm[r]
-                    contrib = np.einsum("ij,ijk->ik", w, diff)
-                contrib *= -kernels.G
-                _accumulate(values, tg, contrib, nt)
+            n = tgt.size
+            chunk = _p2p_rows(n, ns, d, self._working_set)
+            scratch = _p2p_buffers(chunk, ns, d)
+            for lo in range(0, n, chunk):
+                _p2p_chunk(nt, values, tgt, tpos, rows, sp, sm, lo,
+                           min(lo + chunk, n), mode == "force", soft2,
+                           -kernels.G, scratch)
 
     def _traverse_round(self, values: np.ndarray,
                         done_pairs: set[tuple[int, int]],

@@ -2,13 +2,16 @@
 
 Three contracts, in decreasing strictness:
 
-1. *Thread-count invariance* — any slotted tier (threaded numpy or
-   numba) must produce **bitwise identical** values for 1, 2 and 8
-   threads on the same interaction lists.  The perf-regression
-   trajectory and cross-backend bitwise tests depend on this.
-2. *Exactness vs the reference* — every tier matches the serial numpy
-   tier to 1e-12 (relative) and every interaction counter exactly (the
-   counters come from the walk, which tiers never touch).
+1. *Thread-count invariance* — every tier (numpy or numba) must
+   produce **bitwise identical** values for 1, 2 and 8 threads on the
+   same interaction lists.  The perf-regression trajectory and
+   cross-backend bitwise tests depend on this.  The numpy cases use a
+   small working set so every pass spans many more chunks than there
+   are accumulation slots, and all slots really run.
+2. *Exactness vs the reference* — every tier matches the classical
+   single-pass traversal (``tests/oracles.py``) or the numpy tier to
+   1e-12 (relative) and every interaction counter exactly (the counters
+   come from the walk, which tiers never touch).
 3. *Graceful degradation* — a ``numba`` request without numba installed
    resolves to numpy with a one-line warning, exactly once per process;
    ``auto`` never warns.
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.bh import compiled
+from repro.bh import interaction_lists as il
 from repro.bh.distributions import plummer
 from repro.bh.interaction_lists import (
     TraversalEngine,
@@ -33,19 +37,37 @@ from repro.bh.tree import build_tree
 from repro.core.config import SchemeConfig
 from repro.core.simulation import ParallelBarnesHut
 from repro.machine.profiles import ZERO_COST
+from tests.oracles import traverse_reference
 
 N = 600
 SOFTENING = 0.05
 PS = plummer(N, seed=11)
 TREE = build_tree(PS, leaf_capacity=8)
 MAC = BarnesHutMAC(0.67)
+#: Small enough that the cluster pass and every P2P leaf group of the
+#: N=600 walk span more than 2 * ACCUM_SLOTS chunks (checked below).
+SMALL_WS = 16 * 2 ** 10
 
 HAVE_NUMBA = compiled.available()
 
 
-def _engine(tier="numpy", threads=None, softening=SOFTENING):
+def _engine(tier="numpy", threads=None, softening=SOFTENING, ws=None):
     return TraversalEngine(TREE, PS, MAC, softening=softening,
-                           kernel_tier=tier, kernel_threads=threads)
+                           working_set_bytes=ws, kernel_tier=tier,
+                           kernel_threads=threads)
+
+
+def _oracle(mode):
+    return traverse_reference(TREE, PS, PS.positions, MAC, _evaluator(),
+                              mode=mode, softening=SOFTENING)
+
+
+def _assert_close(res, ref):
+    scale = max(1.0, float(np.max(np.abs(ref.values))))
+    assert np.max(np.abs(res.values - ref.values)) < 1e-12 * scale
+    assert res.mac_tests == ref.mac_tests
+    assert res.cluster_interactions == ref.cluster_interactions
+    assert res.p2p_interactions == ref.p2p_interactions
 
 
 def _evaluator():
@@ -97,28 +119,36 @@ class TestTierResolution:
 
 
 class TestThreadedNumpy:
+    def test_small_working_set_spans_every_slot(self):
+        """The premise of the invariance tests below: with ``SMALL_WS``
+        each pass has more than two chunks per accumulation slot."""
+        lists = build_interaction_lists(TREE, PS.positions, MAC)
+        need = 2 * compiled.ACCUM_SLOTS
+        row = _evaluator().batch_row_bytes
+        assert -(-lists.cluster_tgt.size // (SMALL_WS // row)) > need
+        for tgt, _, _, sp, _ in lists.p2p_groups(TREE, PS):
+            chunk = il._p2p_rows(tgt.size, sp.shape[1], lists.d, SMALL_WS)
+            assert -(-tgt.size // chunk) > need
+
     @pytest.mark.parametrize("mode", ["potential", "force"])
     def test_thread_count_invariance_bitwise(self, mode):
-        """1, 2 and 8 threads: bit-for-bit identical results."""
-        base = _engine(threads=1).compute(PS.positions, _evaluator(),
-                                          mode=mode)
+        """1, 2 and 8 threads: bit-for-bit identical results, with every
+        accumulation slot in use."""
+        base = _engine(threads=1, ws=SMALL_WS).compute(
+            PS.positions, _evaluator(), mode=mode)
         for t in (2, 8):
-            res = _engine(threads=t).compute(PS.positions, _evaluator(),
-                                             mode=mode)
+            res = _engine(threads=t, ws=SMALL_WS).compute(
+                PS.positions, _evaluator(), mode=mode)
             assert np.array_equal(base.values, res.values)
             assert res.p2p_interactions == base.p2p_interactions
+        _assert_close(base, _oracle(mode))
 
     @pytest.mark.parametrize("mode", ["potential", "force"])
     def test_slotted_matches_serial(self, mode):
-        ref = _engine(threads=None).compute(PS.positions, _evaluator(),
-                                            mode=mode)
+        """Threaded evaluation matches the classical single-pass walk."""
         res = _engine(threads=2).compute(PS.positions, _evaluator(),
                                          mode=mode)
-        scale = max(1.0, float(np.max(np.abs(ref.values))))
-        assert np.max(np.abs(res.values - ref.values)) < 1e-12 * scale
-        assert res.mac_tests == ref.mac_tests
-        assert res.cluster_interactions == ref.cluster_interactions
-        assert res.p2p_interactions == ref.p2p_interactions
+        _assert_close(res, _oracle(mode))
 
     def test_multipole_potentials_stay_exact_and_invariant(self):
         """Degree>=1 cluster potentials run on the numpy batch path in
@@ -133,13 +163,16 @@ class TestThreadedNumpy:
         assert np.max(np.abs(runs[0].values - ref.values)) < 1e-12 * scale
 
     def test_serial_default_unchanged(self):
-        """``kernel_threads=None`` must stay the legacy serial loop —
-        bit-for-bit, not just close."""
-        before = _engine().compute(PS.positions, _evaluator(),
-                                   mode="force")
-        again = _engine(tier="auto" if not HAVE_NUMBA else "numpy") \
-            .compute(PS.positions, _evaluator(), mode="force")
-        assert np.array_equal(before.values, again.values)
+        """``kernel_threads=None`` is one thread on the slotted path —
+        bit-for-bit equal to ``kernel_threads=1`` — and matches the
+        classical single-pass walk."""
+        for ws in (None, SMALL_WS):
+            default = _engine(ws=ws).compute(PS.positions, _evaluator(),
+                                             mode="force")
+            one = _engine(threads=1, ws=ws).compute(
+                PS.positions, _evaluator(), mode="force")
+            assert np.array_equal(default.values, one.values)
+            _assert_close(default, _oracle("force"))
 
 
 class TestScratchReuse:
@@ -161,6 +194,25 @@ class TestScratchReuse:
         assert {k: tuple(id(b) for b in bufs)
                 for k, bufs in lists._scratch.items()} == ids
         assert np.array_equal(first.values, second.values)
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_one_thread_scratch_has_one_slot_key(self, threads):
+        """Slots that run one after another share one set of P2P
+        buffers: per-slot scratch would multiply the peak memory of a
+        one-thread run by up to ``ACCUM_SLOTS``."""
+        lists = build_interaction_lists(TREE, PS.positions, MAC)
+        evaluate_interaction_lists(TREE, lists, PS, _evaluator(),
+                                   mode="force", softening=SOFTENING,
+                                   working_set_bytes=SMALL_WS,
+                                   kernel_threads=threads)
+        assert {slot for slot, _, _ in lists._scratch} == {0}
+        # the same lists at two threads do key scratch by slot
+        evaluate_interaction_lists(TREE, lists, PS, _evaluator(),
+                                   mode="force", softening=SOFTENING,
+                                   working_set_bytes=SMALL_WS,
+                                   kernel_threads=2)
+        assert {slot for slot, _, _ in lists._scratch} \
+            == set(range(compiled.ACCUM_SLOTS))
 
     def test_serial_path_also_reuses_scratch(self):
         lists = build_interaction_lists(TREE, PS.positions, MAC)

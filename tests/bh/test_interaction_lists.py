@@ -1,7 +1,7 @@
 """Tests for the interaction-list traversal engine.
 
 The engine must be *observationally identical* to the classical
-single-pass traversal (kept as :func:`traverse_reference`): values to
+single-pass traversal (:func:`tests.oracles.traverse_reference`): values to
 1e-12, interaction counters exactly, per-node interaction counts
 exactly, per-target weights exactly, remote-target sets element-for-
 element.  Plus the build-once/evaluate-many behaviour of the two-phase
@@ -21,8 +21,9 @@ from repro.bh.interaction_lists import (
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import MonopoleExpansion, TreeMultipoles
 from repro.bh.traversal import compute_forces, compute_potentials, \
-    traverse, traverse_reference
+    traverse
 from repro.bh.tree import build_tree
+from tests.oracles import traverse_reference
 
 N = 800
 

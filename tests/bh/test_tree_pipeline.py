@@ -1,8 +1,8 @@
 """Equivalence suite for the level-synchronous tree pipeline.
 
-The vectorized builder, the level-batched upward passes, and the
-frontier MAC walk each have a node-at-a-time reference kept verbatim
-from the seed.  These tests pin the contract the benchmarks rely on:
+The vectorized builder and the level-batched upward passes each have a
+node-at-a-time reference kept verbatim in ``tests/oracles.py``; the
+frontier MAC walk is checked against the depth-first walk.  These tests pin the contract the benchmarks rely on:
 *exact* array equality for construction and upward passes, and
 identical interaction sets/counters for the walk (entry order and
 therefore fp accumulation order may differ there).
@@ -21,19 +21,15 @@ from repro.bh.interaction_lists import build_interaction_lists
 from repro.bh.mac import BarnesHutMAC
 from repro.bh.multipole import TreeMultipoles
 from repro.bh.particles import ParticleSet
-from repro.bh.tree import (
-    NO_CHILD,
-    SMALL_BUILD_CUTOFF,
-    build_tree,
+from repro.bh.tree import NO_CHILD, build_tree, cell_box, cell_boxes
+from tests.oracles import (
+    build_multipoles_reference,
     build_tree_reference,
-    cell_box,
-    cell_boxes,
+    compute_monopoles_reference,
+    sum_interactions_up_reference,
 )
 
-#: Large enough that build_tree takes the level-synchronous path rather
-#: than dispatching to the recursive builder.
 N = 400
-assert N >= SMALL_BUILD_CUTOFF
 
 ARRAY_FIELDS = ("children", "depth", "path_key", "center", "half",
                 "start", "end", "order")
@@ -86,9 +82,13 @@ class TestBuildEquivalence:
         assert_trees_equal(vec, ref)
 
     def test_small_input_dispatch_is_equal(self):
-        ps = plummer(SMALL_BUILD_CUTOFF - 1, seed=3)
-        assert_trees_equal(build_tree(ps, leaf_capacity=4),
-                           build_tree_reference(ps, leaf_capacity=4))
+        """Tiny subtrees (the distributed schemes build many, one per
+        owned cell) go through the same level-synchronous builder and
+        still match the recursion exactly."""
+        for n in (1, 2, 9, 127):
+            ps = plummer(n, seed=3)
+            assert_trees_equal(build_tree(ps, leaf_capacity=4),
+                               build_tree_reference(ps, leaf_capacity=4))
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_explicit_max_depth_equal(self, dims):
@@ -105,7 +105,7 @@ class TestUpwardPasses:
         ps = cloud(1000, dims, seed=3)
         tree = build_tree(ps, leaf_capacity=8)
 
-        tree.compute_monopoles_reference(ps)
+        compute_monopoles_reference(tree, ps)
         mass, com = tree.mass.copy(), tree.com.copy()
         tree.compute_monopoles(ps)
         np.testing.assert_array_equal(tree.mass, mass)
@@ -113,7 +113,7 @@ class TestUpwardPasses:
 
         base = (np.arange(tree.nnodes, dtype=np.int64) * 7919) % 1013
         tree.interactions[:] = base
-        tree.sum_interactions_up_reference()
+        sum_interactions_up_reference(tree)
         ref = tree.interactions.copy()
         tree.interactions[:] = base
         tree.sum_interactions_up()
@@ -124,7 +124,7 @@ class TestUpwardPasses:
         ps = plummer(1500, seed=5)
         tree = build_tree(ps, leaf_capacity=8)
         ref = TreeMultipoles(tree, None, degree)
-        ref._build_reference(ps)
+        build_multipoles_reference(ref, ps)
         vec = TreeMultipoles(tree, None, degree)
         vec._build(ps)
         np.testing.assert_array_equal(vec.coeffs, ref.coeffs)

@@ -7,7 +7,7 @@ from repro.bh.distributions import plummer
 from repro.bh.morton import morton_keys
 from repro.bh.particles import Box, ParticleSet
 from repro.bh.tree import build_tree
-from repro.bh.tree_repair import repair_tree, subtree_extents
+from repro.bh.tree_repair import REBUILD_BELOW, repair_tree, subtree_extents
 
 BITS = {2: 12, 3: 10}
 
@@ -101,6 +101,26 @@ class TestRepairExactEquality:
         oracle = build_tree(ps2, box=box, leaf_capacity=8,
                             max_depth=BITS[3], keys=k1)
         assert_trees_equal(res.tree, oracle)
+
+    def test_small_tree_falls_back_to_rebuild(self):
+        """Under ``REBUILD_BELOW`` (128) particles repair rebuilds even
+        for a small dirty fraction; at the threshold it repairs.  The
+        branch shows in block runs' ``repair.*`` counters."""
+        assert REBUILD_BELOW == 128
+        for n, rebuilt in ((REBUILD_BELOW - 1, True),
+                           (REBUILD_BELOW, False)):
+            ps, box = make_state(n, 3, seed=5)
+            k0 = keys_of(ps, box, BITS[3])
+            tree = build_tree(ps, box=box, leaf_capacity=8,
+                              max_depth=BITS[3], keys=k0)
+            ps2, moved = perturb(ps, box, 6, frac=0.03, jump_frac=1.0)
+            k1 = keys_of(ps2, box, BITS[3])
+            assert 0 < np.count_nonzero(k0 != k1) <= 0.25 * n
+            res = repair_tree(tree, ps2, k0, k1, moved)
+            assert res.rebuilt is rebuilt
+            oracle = build_tree(ps2, box=box, leaf_capacity=8,
+                                max_depth=BITS[3], keys=k1)
+            assert_trees_equal(res.tree, oracle)
 
     def test_no_key_change_refreshes_monopoles(self):
         ps, box = make_state(500, 3)
